@@ -19,6 +19,7 @@
 #include "drivers/medium.h"
 #include "os/socket_host.h"
 #include "os/sockets.h"
+#include "sim/batch.h"
 #include "sim/tracer.h"
 
 namespace bench {
@@ -576,6 +577,7 @@ std::string JsonReporter::ToJson() const {
       << FormatMeasured(wall_seconds)
       << ",\"host\":" << HostMetaJson()
       << ",\"git_sha\":" << JsonQuote(sha != nullptr ? sha : "unknown")
+      << ",\"engine\":" << JsonQuote(sim::BatchConfig::enabled() ? "batched" : "per-packet")
       << "},\"records\":[";
   bool first_record = true;
   for (const BenchRecord& r : records_) {
@@ -604,6 +606,16 @@ bool JsonReporter::WriteTo(const std::string& path) const {
   if (!f) return false;
   f << ToJson() << '\n';
   return static_cast<bool>(f);
+}
+
+void ShapeVerdicts::Check(const std::string& where, const std::string& claim, bool holds) {
+  std::printf("  shape: %s: %s\n", claim.c_str(), holds ? "HOLDS" : "VIOLATED");
+  if (!holds) violated_.push_back(where + ": " + claim);
+}
+
+int ShapeVerdicts::ExitCode() const {
+  for (const std::string& v : violated_) std::fprintf(stderr, "shape VIOLATED: %s\n", v.c_str());
+  return violated_.empty() ? 0 : 1;
 }
 
 std::string ArgAfter(int argc, char** argv, const std::string& flag) {

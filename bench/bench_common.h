@@ -106,11 +106,14 @@ struct BenchRecord {
 // {"schema":"plexus-bench-v1","meta":{...},"records":[...]}.
 // The meta block carries run provenance — wall-clock duration since the
 // reporter was constructed, host OS/arch/cpu info, and the git SHA from
-// PLEXUS_GIT_SHA (scripts/bench.sh exports it) — so a checked-in baseline
-// records where its numbers came from. Everything under "records" stays
-// deterministic: records in Add order, doubles printed with a fixed format,
-// captured JSON embedded verbatim. Comparators (scripts/bench_compare.py,
-// byte-identity tests) look only at "records".
+// PLEXUS_GIT_SHA (scripts/bench.sh exports it), and the packet engine the
+// run used ("batched", or "per-packet" under PLEXUS_BATCH=off) — so a
+// checked-in baseline records where its numbers came from, and
+// scripts/bench_compare.py refuses to diff runs of different engines.
+// Everything under "records" stays deterministic: records in Add order,
+// doubles printed with a fixed format, captured JSON embedded verbatim.
+// Comparators (scripts/bench_compare.py, byte-identity tests) look only at
+// "records".
 class JsonReporter {
  public:
   JsonReporter() : wall_start_(std::chrono::steady_clock::now()) {}
@@ -122,6 +125,24 @@ class JsonReporter {
  private:
   std::chrono::steady_clock::time_point wall_start_;
   std::vector<BenchRecord> records_;
+};
+
+// --- shape verdicts ----------------------------------------------------------------
+
+// The paper's shape claims, checked where a bench measures them. Check()
+// prints "shape: <claim>: HOLDS|VIOLATED" and remembers each violation;
+// main() returns ExitCode(), so a violated claim fails the bench run
+// instead of scrolling past in its output.
+class ShapeVerdicts {
+ public:
+  // `where` names the figure/table cell in the failure report.
+  void Check(const std::string& where, const std::string& claim, bool holds);
+  // 0 when every claim held; otherwise lists each violated claim on stderr
+  // and returns 1.
+  int ExitCode() const;
+
+ private:
+  std::vector<std::string> violated_;
 };
 
 // Returns the operand following `flag` in argv ("" if absent): the benches

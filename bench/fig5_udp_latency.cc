@@ -9,6 +9,8 @@
 //                   plexus-bench-v1 JSON
 //   --trace <path>  write the Chrome trace of the traced Ethernet
 //                   Plexus-interrupt run (load in chrome://tracing)
+//
+// Exits non-zero, naming the claim, when a shape claim is VIOLATED.
 #include <cstdio>
 #include <string>
 
@@ -21,6 +23,7 @@ int main(int argc, char** argv) {
   const std::string json_path = bench::ArgAfter(argc, argv, "--json");
   const std::string trace_path = bench::ArgAfter(argc, argv, "--trace");
   bench::JsonReporter reporter;
+  bench::ShapeVerdicts shapes;
 
   std::printf("Figure 5: UDP round-trip latency, 8-byte packets (microseconds)\n");
   std::printf("Paper: Plexus(interrupt) < 600us Ethernet, ~350us ATM, ~300us T3;\n");
@@ -72,9 +75,8 @@ int main(int argc, char** argv) {
     bench::PrintRow("Plexus (thread per event raise)", plexus_thr, "us", "> interrupt");
     bench::PrintRow("DIGITAL UNIX (user-level sockets)", du, "us", "substantially slower");
     bench::PrintRow("driver-to-driver minimum", driver, "us", "figure baseline");
-    std::printf("  shape: driver <= plexus-int < plexus-thread < DU : %s\n",
-                (driver <= plexus_int && plexus_int < plexus_thr && plexus_thr < du) ? "HOLDS"
-                                                                                     : "VIOLATED");
+    shapes.Check("Figure 5 " + dev.profile.name, "driver <= plexus-int < plexus-thread < DU",
+                 driver <= plexus_int && plexus_int < plexus_thr && plexus_thr < du);
     record(dev.profile.name, "plexus-interrupt", plexus_int, dev.paper_plexus, &plexus_obs);
     record(dev.profile.name, "plexus-thread", plexus_thr, "> interrupt", &thr_obs);
     record(dev.profile.name, "digital-unix", du, "substantially slower", &du_obs);
@@ -110,5 +112,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\nwrote %zu records: %s\n", reporter.size(), json_path.c_str());
   }
-  return 0;
+  return shapes.ExitCode();
 }

@@ -9,6 +9,8 @@
 //   --json <path>  write every device x system cell (paper-expected vs
 //                  measured, per-host metrics incl. tcp.* retransmit and
 //                  cwnd histograms) as plexus-bench-v1 JSON
+//
+// Exits non-zero, naming the claim, when a shape claim is VIOLATED.
 #include <cstdio>
 #include <string>
 
@@ -19,6 +21,7 @@ int main(int argc, char** argv) {
   const auto costs = sim::CostModel::Default1996();
   const std::string json_path = bench::ArgAfter(argc, argv, "--json");
   bench::JsonReporter reporter;
+  bench::ShapeVerdicts shapes;
 
   auto record = [&](const std::string& device, const std::string& system, double measured,
                     const char* paper, bench::RunObservability* obs) {
@@ -51,10 +54,8 @@ int main(int argc, char** argv) {
     bench::PrintRow("Plexus", plexus, "Mb/s", "8.9");
     bench::PrintRow("DIGITAL UNIX", du, "Mb/s", "8.9");
     bench::PrintRow("driver-to-driver", drv, "Mb/s", "(wire-limited)");
-    std::printf("  shape: both systems wire-limited and nearly identical: %s\n",
-                (plexus > 7.0 && du > 7.0 && plexus / du < 1.2 && du / plexus < 1.2)
-                    ? "HOLDS"
-                    : "VIOLATED");
+    shapes.Check("Section 4.2 Ethernet", "both systems wire-limited and nearly identical",
+                 plexus > 7.0 && du > 7.0 && plexus / du < 1.2 && du / plexus < 1.2);
     record(DeviceProfile::Ethernet10().name, "plexus", plexus, "8.9", &pobs);
     record(DeviceProfile::Ethernet10().name, "digital-unix", du, "8.9", &dobs);
     record(DeviceProfile::Ethernet10().name, "driver", drv, "(wire-limited)", nullptr);
@@ -71,8 +72,8 @@ int main(int argc, char** argv) {
     bench::PrintRow("driver-to-driver ceiling", drv, "Mb/s", "53");
     bench::PrintRow("Plexus", plexus, "Mb/s", "33");
     bench::PrintRow("DIGITAL UNIX", du, "Mb/s", "27.9");
-    std::printf("  shape: DU < Plexus < driver ceiling: %s\n",
-                (du < plexus && plexus < drv) ? "HOLDS" : "VIOLATED");
+    shapes.Check("Section 4.2 Fore ATM", "DU < Plexus < driver ceiling",
+                 du < plexus && plexus < drv);
     record(DeviceProfile::ForeAtm155().name, "driver", drv, "53", nullptr);
     record(DeviceProfile::ForeAtm155().name, "plexus", plexus, "33", &pobs);
     record(DeviceProfile::ForeAtm155().name, "digital-unix", du, "27.9", &dobs);
@@ -101,5 +102,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\nwrote %zu records: %s\n", reporter.size(), json_path.c_str());
   }
-  return 0;
+  return shapes.ExitCode();
 }

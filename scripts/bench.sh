@@ -36,8 +36,12 @@ BUILD_DIR="${BUILD_DIR:-build}"
 OUT_DIR="${OUT_DIR:-.}"
 
 # Run provenance for the plexus-bench-v1 meta block: every reporter stamps
-# the git SHA it was produced from (falls back to "unknown" outside a repo).
+# the git SHA it was produced from, suffixed "-dirty" when the working tree
+# carries uncommitted changes (falls back to "unknown" outside a repo).
 PLEXUS_GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+if [ "$PLEXUS_GIT_SHA" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+  PLEXUS_GIT_SHA="$PLEXUS_GIT_SHA-dirty"
+fi
 export PLEXUS_GIT_SHA
 
 cmake -B "$BUILD_DIR" -S .  # RelWithDebInfo by default (top-level CMakeLists)

@@ -17,9 +17,17 @@ any regression/improvement outside the band or a record present in the
 baseline but missing from the fresh run (new records in the fresh run are
 reported but allowed — the suite grows).
 
+Runs of different packet engines are not comparable: the batched engine
+legitimately moves virtual time. When both documents record `meta.engine`
+("batched" or "per-packet") and the two differ, the checker refuses to
+compare and exits 2, so a mode mismatch fails loudly instead of reading as
+drift. A document without the field (written before the engine was
+recorded) is compared as before.
+
 `--self-test` proves the checker can actually fail: it re-reads the
 baseline, injects a +25% regression into every deterministic metric, and
-exits 0 only if the comparison (correctly) rejects the doctored run.
+exits 0 only if the comparison (correctly) rejects the doctored run and a
+copy of the baseline stamped with the other engine is refused.
 
 Stdlib only; no third-party imports.
 """
@@ -29,7 +37,13 @@ import json
 import sys
 
 
+ENGINES = ("batched", "per-packet")
+
+
 def load_records(path):
+    """Returns (engine, records): the run's recorded packet engine (None if
+    unrecorded) and its records keyed by (experiment, device, system,
+    metric)."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if doc.get("schema") != "plexus-bench-v1":
@@ -42,7 +56,19 @@ def load_records(path):
         if key in out:
             raise SystemExit(f"{path}: duplicate record key {key}")
         out[key] = rec
-    return out
+    return doc.get("meta", {}).get("engine"), out
+
+
+def engine_mismatch(baseline_engine, fresh_engine):
+    """The refusal message when both runs record an engine and they differ,
+    else None."""
+    if baseline_engine is None or fresh_engine is None:
+        return None
+    if baseline_engine == fresh_engine:
+        return None
+    return (f"engine mismatch: baseline ran the {baseline_engine} engine, "
+            f"fresh run the {fresh_engine} engine; refusing to compare "
+            f"(compare against the baseline of the same engine)")
 
 
 def is_wall_clock(rec):
@@ -102,6 +128,21 @@ def compare(baseline, fresh, tolerance, exact_unit=None):
     return failures, lines
 
 
+def check(baseline_run, fresh_run, tolerance, exact_unit=None):
+    """Compares two (engine, records) runs. Returns (status, lines): 0 pass,
+    1 a metric outside its band or missing, 2 refused (engine mismatch)."""
+    mismatch = engine_mismatch(baseline_run[0], fresh_run[0])
+    if mismatch is not None:
+        return 2, [mismatch]
+    failures, lines = compare(baseline_run[1], fresh_run[1], tolerance,
+                              exact_unit)
+    if failures:
+        lines.append(f"FAIL ({failures} metric(s) outside the band)")
+        return 1, lines
+    lines.append(f"PASS ({len(baseline_run[1])} baseline metric(s) checked)")
+    return 0, lines
+
+
 def self_test(baseline, tolerance):
     doctored = {}
     injected = 0
@@ -116,13 +157,25 @@ def self_test(baseline, tolerance):
               "doctor")
         return 1
     failures, _ = compare(baseline, doctored, tolerance)
-    if failures == injected:
-        print(f"self-test PASS: +25% injection rejected on all {injected} "
-              f"deterministic metrics")
-        return 0
-    print(f"self-test FAIL: only {failures}/{injected} injected regressions "
-          f"detected")
-    return 1
+    if failures != injected:
+        print(f"self-test FAIL: only {failures}/{injected} injected "
+              f"regressions detected")
+        return 1
+    print(f"self-test PASS: +25% injection rejected on all {injected} "
+          f"deterministic metrics")
+    # The baseline re-stamped with each engine: an unchanged copy passes
+    # against its own engine and is refused against the other one.
+    for ours, other in (ENGINES, ENGINES[::-1]):
+        same, _ = check((ours, baseline), (ours, baseline), tolerance)
+        crossed, _ = check((ours, baseline), (other, baseline), tolerance)
+        if same != 0 or crossed != 2:
+            print(f"self-test FAIL: {ours} baseline vs {ours} run exited "
+                  f"{same} (want 0), vs {other} run exited {crossed} "
+                  f"(want 2)")
+            return 1
+    print("self-test PASS: cross-engine comparison refused in both "
+          "directions")
+    return 0
 
 
 def main():
@@ -140,26 +193,25 @@ def main():
                              "(e.g. sim_ns for virtual-time identity)")
     parser.add_argument("--self-test", action="store_true",
                         help="inject a +25%% regression into the baseline and "
-                             "require the comparison to reject it")
+                             "require the comparison to reject it, and "
+                             "require a cross-engine comparison to be "
+                             "refused")
     args = parser.parse_args()
 
     baseline = load_records(args.baseline)
     if args.self_test:
-        return self_test(baseline, args.tolerance)
+        return self_test(baseline[1], args.tolerance)
     if args.fresh is None:
         parser.error("fresh JSON required unless --self-test")
 
-    fresh = load_records(args.fresh)
-    failures, lines = compare(baseline, fresh, args.tolerance, args.exact_unit)
+    status, lines = check(baseline, load_records(args.fresh), args.tolerance,
+                          args.exact_unit)
     print(f"bench_compare: {args.fresh} vs baseline {args.baseline} "
           f"(±{args.tolerance:.0%} on deterministic metrics)")
-    for line in lines:
+    for line in lines[:-1]:
         print(line)
-    if failures:
-        print(f"bench_compare: FAIL ({failures} metric(s) outside the band)")
-        return 1
-    print(f"bench_compare: PASS ({len(baseline)} baseline metric(s) checked)")
-    return 0
+    print(f"bench_compare: {lines[-1]}")
+    return status
 
 
 if __name__ == "__main__":

@@ -103,28 +103,46 @@ echo "=== adversarial gate: SYN flood, RST spray, and parser fuzz corpus ==="
 # zero quarantines.
 "$PERF_BUILD_DIR/bench/bench_adversarial" --fuzz-seeds 1000
 
-echo "=== bench regression gate: fresh fig5/tab1 vs committed baselines ==="
-# Re-runs the two paper-figure benches and diffs their deterministic
-# (virtual-clock) metrics against bench/baselines/ with a ±5% band;
-# --self-test proves the comparator still rejects an injected regression.
+# Both packet engines are gated: the default batched engine users run, and
+# the per-packet engine PLEXUS_BATCH=off restores. Each engine has its own
+# committed baselines in bench/baselines/: BENCH_<name>.batch.json for the
+# batched engine, BENCH_<name>.json for the per-packet one. The per-packet
+# baselines predate the batched path, so passing them doubles as the
+# system-level proof that the off-gate really restores the old engine.
+# bench_compare.py refuses to diff runs of different engines.
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "$BENCH_TMP"' EXIT
-# The committed baselines predate the batched packet path, whose burst
-# coalescing legitimately moves virtual time; PLEXUS_BATCH=off pins the
-# per-packet engine these baselines describe (and doubles as a system-level
-# proof that the off-gate really restores it).
-PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_fig5_udp_latency" --json "$BENCH_TMP/BENCH_fig5.json"
-PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_tab1_tcp_throughput" --json "$BENCH_TMP/BENCH_tab1.json"
-python3 scripts/bench_compare.py bench/baselines/BENCH_fig5.json "$BENCH_TMP/BENCH_fig5.json"
-python3 scripts/bench_compare.py bench/baselines/BENCH_tab1.json "$BENCH_TMP/BENCH_tab1.json"
+ENGINES=("on:.batch" "off:")  # PLEXUS_BATCH value : baseline suffix
+
+echo "=== shape + bench regression gate: fig5/tab1 in both engines ==="
+# Re-runs the two paper-figure benches under each engine. A bench exits
+# non-zero, naming the claim, on any VIOLATED shape verdict, so these runs
+# are the paper's shape gates; their deterministic (virtual-clock) metrics
+# are then diffed against the same engine's baseline with a ±5% band.
+# --self-test proves the comparator still rejects an injected regression
+# and refuses a cross-engine comparison.
+for engine in "${ENGINES[@]}"; do
+  batch="${engine%%:*}" suffix="${engine#*:}"
+  for bench in fig5:bench_fig5_udp_latency tab1:bench_tab1_tcp_throughput; do
+    name="${bench%%:*}"
+    PLEXUS_BATCH="$batch" "$PERF_BUILD_DIR/bench/${bench#*:}" \
+      --json "$BENCH_TMP/BENCH_$name$suffix.json"
+    python3 scripts/bench_compare.py "bench/baselines/BENCH_$name$suffix.json" \
+      "$BENCH_TMP/BENCH_$name$suffix.json"
+  done
+done
 python3 scripts/bench_compare.py bench/baselines/BENCH_fig5.json --self-test
 
 echo "=== scale gate: virtual-time identity at 100..100k connections ==="
-# Re-runs the full connection ladder (including the 100k rung) and diffs it
-# against the committed baseline. The sim_ns rows are an EXACT gate — the
-# simulation is deterministic, so any drift in virtual time means engine
-# behaviour changed; the wall rows are report-only (machine-dependent).
-PLEXUS_BATCH=off "$PERF_BUILD_DIR/bench/bench_scale_connections" \
-  --sizes 100,1000,10000,100000 --json "$BENCH_TMP/BENCH_scale.json"
-python3 scripts/bench_compare.py bench/baselines/BENCH_scale.json \
-  "$BENCH_TMP/BENCH_scale.json" --exact-unit sim_ns
+# Re-runs the full connection ladder (including the 100k rung) under each
+# engine and diffs it against that engine's committed baseline. The sim_ns
+# rows are an EXACT gate — the simulation is deterministic, so any drift in
+# virtual time means engine behaviour changed; the wall rows are
+# report-only (machine-dependent).
+for engine in "${ENGINES[@]}"; do
+  batch="${engine%%:*}" suffix="${engine#*:}"
+  PLEXUS_BATCH="$batch" "$PERF_BUILD_DIR/bench/bench_scale_connections" \
+    --sizes 100,1000,10000,100000 --json "$BENCH_TMP/BENCH_scale$suffix.json"
+  python3 scripts/bench_compare.py "bench/baselines/BENCH_scale$suffix.json" \
+    "$BENCH_TMP/BENCH_scale$suffix.json" --exact-unit sim_ns
+done

@@ -868,8 +868,13 @@ void TcpConnection::ProcessData(net::MbufPtr segment, const net::TcpHeader& hdr,
     if (cb_.on_data) cb_.on_data(bytes);
     DeliverInOrder();
 
-    // Delayed ACK: every second segment, or after the timer.
-    ++delack_segments_;
+    // Delayed ACK: every second full-sized segment, or after the timer.
+    // The count is in full-sized-segment equivalents, not deliveries: a GRO
+    // chain of k MSS-sized segments owes the ACKs its k wire segments would
+    // have (RFC 5681 §4.2), and anything up to one MSS counts as one.
+    const std::size_t mss = std::max<std::size_t>(effective_mss_, 1);
+    delack_segments_ += static_cast<std::uint32_t>(
+        std::max<std::size_t>(1, (bytes.size() + mss - 1) / mss));
     if (!config_.delayed_ack_enabled || delack_segments_ >= 2 ||
         (fin_received_ && rcv_nxt_ == peer_fin_seq_)) {
       SendAckNow();

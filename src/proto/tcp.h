@@ -204,6 +204,10 @@ class TcpConnection {
   int rexmt_backoff() const { return rexmt_backoff_; }
   int persist_backoff() const { return persist_backoff_; }
   std::size_t effective_mss() const { return effective_mss_; }
+  // True while a delayed ACK is owed and its timer is armed.
+  bool delack_pending() const {
+    return delack_timer_ != sim::kInvalidEventId && sim_.IsPending(delack_timer_);
+  }
   std::size_t advertised_window() const;
 
   // Kernel-style TCP_INFO snapshot of the whole control block; every field

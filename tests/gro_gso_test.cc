@@ -7,15 +7,20 @@
 // over a two-connection software pipe: an oversized send must reach the
 // wire as the same MSS-sized frames the per-packet path emits — same
 // boundaries, PSH placement, and per-frame checksums — while the jumbo
-// counter advances only when batching is on.
+// counter advances only when batching is on. Delayed ACK is exercised
+// across the GRO edge: a coalesced chain must earn the receiver's ACKs in
+// full-sized-segment equivalents, exactly as its wire segments would have.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "drivers/device_profile.h"
 #include "net/headers.h"
 #include "net/mbuf.h"
 #include "net/view.h"
@@ -395,6 +400,113 @@ TEST(Gso, DisabledByGsoSegmentsOne) {
   pipe.Transfer(std::string(350, 'z'));
   EXPECT_EQ(pipe.server_rx_.size(), 350u);
   EXPECT_EQ(pipe.client_->stats().gso_jumbos, 0u);
+}
+
+// --- delayed ACK over coalesced data --------------------------------------------
+
+// One established receiver, materialized straight from a SYN cookie (no
+// handshake traffic), fed through a GroEngine. Records the ack number of
+// every segment the receiver emits.
+class CoalescedReceiver {
+ public:
+  static constexpr std::size_t kMss = 100;
+  static constexpr std::uint32_t kIrs = 1000;  // the peer's ISN
+  static constexpr std::uint32_t kIss = 499;   // so MakeSeg's ack=500 is current
+
+  CoalescedReceiver()
+      : host_(sim_, "rx", sim::CostModel::Default1996(), 5),
+        gro_(host_, [this](net::MbufPtr m, net::Ipv4Address s, net::Ipv4Address d) {
+          conn_->Input(std::move(m), s, d);
+        }) {
+    TcpConfig cfg;
+    cfg.mss = kMss;
+    TcpConnection::Callbacks cbs;
+    cbs.send_segment = [this](net::MbufPtr seg, net::Ipv4Address, net::Ipv4Address) {
+      acks_.push_back(net::ViewPacket<net::TcpHeader>(*seg).ack.value());
+    };
+    conn_ = std::make_unique<TcpConnection>(host_, cfg, TcpEndpoints{kDst, 80, kSrc, 1000},
+                                            std::move(cbs));
+    RunTask([this] {
+      conn_->Listen();
+      conn_->CompleteFromSynCookie(kIss, kIrs, 4096, kMss);
+    });
+  }
+
+  // One rx burst of back-to-back in-order segments: GRO folds them and the
+  // batch-end flush delivers the chain.
+  void Burst(const std::vector<std::size_t>& sizes) {
+    RunTask([&] {
+      for (const std::size_t len : sizes) {
+        gro_.Push(MakeSeg(next_seq_, std::string(len, 'd')), kSrc, kDst);
+        next_seq_ += static_cast<std::uint32_t>(len);
+      }
+      gro_.FlushAll();
+    });
+  }
+
+  // Runs `fn` as a kernel task, well inside the 50 ms delayed-ACK timeout.
+  void RunTask(std::function<void()> fn) {
+    host_.Submit(sim::Priority::kKernel, std::move(fn));
+    sim_.RunFor(sim::Duration::Micros(500));
+  }
+
+  sim::Simulator sim_;
+  sim::Host host_;
+  std::unique_ptr<TcpConnection> conn_;
+  GroEngine gro_;
+  std::vector<std::uint32_t> acks_;
+  std::uint32_t next_seq_ = kIrs + 1;
+};
+
+TEST(DelayedAck, CoalescedChainOfFullSegmentsAcksImmediately) {
+  for (std::size_t k = 2; k <= 16; ++k) {
+    SCOPED_TRACE(k);
+    CoalescedReceiver r;
+    r.Burst(std::vector<std::size_t>(k, CoalescedReceiver::kMss));
+    EXPECT_EQ(r.gro_.stats().merged, k - 1);  // one delivery carried all k
+    ASSERT_EQ(r.acks_.size(), 1u);
+    EXPECT_EQ(r.acks_[0], CoalescedReceiver::kIrs + 1 + k * CoalescedReceiver::kMss);
+    EXPECT_FALSE(r.conn_->delack_pending());
+  }
+}
+
+TEST(DelayedAck, SegmentOfAtMostOneMssStillDelays) {
+  for (const std::size_t len : {CoalescedReceiver::kMss / 2, CoalescedReceiver::kMss}) {
+    SCOPED_TRACE(len);
+    CoalescedReceiver r;
+    r.Burst({len});
+    EXPECT_TRUE(r.acks_.empty());
+    EXPECT_TRUE(r.conn_->delack_pending());
+    r.sim_.RunFor(sim::Duration::Millis(100));  // the timer owes the ACK
+    ASSERT_EQ(r.acks_.size(), 1u);
+    EXPECT_EQ(r.acks_[0], CoalescedReceiver::kIrs + 1 + len);
+    EXPECT_FALSE(r.conn_->delack_pending());
+  }
+}
+
+// One integer counter of the receiving host ("b") in a bench run's
+// per-host metrics snapshot; 0 if absent.
+std::uint64_t ReceiverCounter(const std::string& metrics_json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const std::size_t b = metrics_json.find("\"b\":");
+  if (b == std::string::npos) return 0;
+  const std::size_t at = metrics_json.find(key, b);
+  return at == std::string::npos ? 0 : std::stoull(metrics_json.substr(at + key.size()));
+}
+
+// The Section 4.2 transfer over Fore ATM with the batched engine: the
+// receiver's ACK clock must keep RFC 5681's one ACK per two full-sized
+// segments even though GRO hands TCP far fewer deliveries than that.
+TEST(DelayedAck, BatchedAtmTransferKeepsOneAckPerTwoFullSegments) {
+  ScopedBatchMode on(true);
+  constexpr std::size_t kBytes = 4 * 1024 * 1024;
+  const auto atm = drivers::DeviceProfile::ForeAtm155();
+  bench::RunObservability obs;
+  ASSERT_GT(bench::PlexusTcpThroughputMbps(atm, sim::CostModel::Default1996(), kBytes, &obs), 0.0);
+  const double mss = static_cast<double>(atm.mtu - 40);  // the bench's TcpConfig
+  const double full_segment_pairs = static_cast<double>(kBytes) / (2.0 * mss);
+  const auto receiver_frames = ReceiverCounter(obs.metrics_json, "ip.tx_packets");
+  EXPECT_GE(static_cast<double>(receiver_frames) / full_segment_pairs, 1.0) << receiver_frames;
 }
 
 }  // namespace

@@ -8,19 +8,24 @@
 // the pending-timer population grows with N — exactly the load the
 // hierarchical timing wheel (SchedulerImpl::kWheel) exists for. The bench
 // runs each N under both scheduler implementations and reports wall-clock
-// and simulated ns per connection plus the pending-timer high-water mark
-// (sim.timer_pending_peak).
+// and simulated ns per connection, the per-connection completion time
+// (connect to response) at p50/p90/p99, and the pending-timer high-water
+// mark (sim.timer_pending_peak). sim ns/conn is the last response's instant
+// divided by N, so the slowest connection alone sets it; the percentiles
+// show what the population saw.
 //
 // The two implementations must also agree bit-for-bit on virtual time:
 // identical (deadline, FIFO) firing order means the simulated completion
 // time is the same number under heap and wheel. The bench exits non-zero if
 // they diverge.
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -37,6 +42,10 @@ struct ScaleResult {
   double sim_ms = 0;       // virtual time until the last response
   double wall_ns_per_conn = 0;
   double sim_ns_per_conn = 0;
+  // Per-connection completion time, connect to HTTP 200, in virtual ns.
+  std::int64_t completion_p50_ns = 0;
+  std::int64_t completion_p90_ns = 0;
+  std::int64_t completion_p99_ns = 0;
   std::int64_t timer_pending_peak = 0;
   std::uint64_t timer_schedules = 0;
   std::uint64_t timer_cancels = 0;
@@ -86,6 +95,8 @@ ScaleResult RunScale(sim::SchedulerImpl impl, int n) {
   std::vector<Conn> conns(static_cast<std::size_t>(n));
   ScaleResult result;
   sim::TimePoint last_response;
+  std::vector<std::int64_t> completion_ns;
+  completion_ns.reserve(static_cast<std::size_t>(n));
 
   // Stagger the connects so the segment is not one giant collision, while
   // keeping lifetimes (handshake + GET + loss recovery + 2MSL) far longer
@@ -102,13 +113,15 @@ ScaleResult RunScale(sim::SchedulerImpl impl, int n) {
     sim.Schedule(gap * i, [&, i] {
       client.Run([&, i] {
         Conn& c = conns[static_cast<std::size_t>(i)];
+        const sim::TimePoint started = sim.Now();
         c.ep = client.tcp().Connect(net::Ipv4Address(10, 0, 0, 1), 80);
         c.http = std::make_unique<proto::HttpClient>(
-            *c.ep, [&](const proto::HttpClient::Response& r) {
+            *c.ep, [&, started](const proto::HttpClient::Response& r) {
               ++result.finished;
               if (r.status == 200) {
                 ++result.completed;
                 last_response = sim.Now();
+                completion_ns.push_back((last_response - started).ns());
               }
             });
         c.ep->SetOnEstablished([&c] { c.http->Get("/page"); });
@@ -139,6 +152,16 @@ ScaleResult RunScale(sim::SchedulerImpl impl, int n) {
   result.wall_ns_per_conn = wall_ns / n;
   result.sim_ns_per_conn =
       static_cast<double>((last_response - sim::TimePoint::FromNanos(0)).ns()) / n;
+  std::sort(completion_ns.begin(), completion_ns.end());
+  // Nearest-rank percentile over the completed connections.
+  const auto percentile = [&](int p) -> std::int64_t {
+    if (completion_ns.empty()) return 0;
+    const std::size_t rank = (completion_ns.size() * static_cast<std::size_t>(p) + 99) / 100;
+    return completion_ns[std::max<std::size_t>(rank, 1) - 1];
+  };
+  result.completion_p50_ns = percentile(50);
+  result.completion_p90_ns = percentile(90);
+  result.completion_p99_ns = percentile(99);
   result.timer_pending_peak = sim.metrics().gauges().at("sim.timer_pending_peak").value();
   result.timer_schedules = sim.metrics().counters().at("sim.timer_schedules").value();
   result.timer_cancels = sim.metrics().counters().at("sim.timer_cancels").value();
@@ -177,9 +200,9 @@ int main(int argc, char** argv) {
 
   std::printf("connection scale: N clients, connect/GET/close, 0.5%% frame loss\n");
   std::printf("(in-kernel web server; pending timers grow with N — RTO, delack, 2MSL)\n\n");
-  std::printf("  %6s %6s | %9s %13s %13s %11s | %10s %10s %10s\n", "N", "sched",
-              "done", "sim ms total", "sim ns/conn", "wall ns/c", "peak timers",
-              "schedules", "fires");
+  std::printf("  %6s %6s | %9s %13s %13s %11s | %9s %9s %9s | %10s %10s %10s\n", "N",
+              "sched", "done", "sim ms total", "sim ns/conn", "wall ns/c", "p50 ms",
+              "p90 ms", "p99 ms", "peak timers", "schedules", "fires");
 
   int rc = 0;
   for (const int n : sizes) {
@@ -189,11 +212,12 @@ int main(int argc, char** argv) {
       const bool wheel = impl == sim::SchedulerImpl::kWheel;
       const ScaleResult r = RunScale(impl, n);
       by_impl[wheel ? 1 : 0] = r;
-      std::printf("  %6d %6s | %4d/%-4d %13.1f %13.0f %11.0f | %10" PRId64
+      std::printf("  %6d %6s | %4d/%-4d %13.1f %13.0f %11.0f | %9.1f %9.1f %9.1f | %10" PRId64
                   " %10" PRIu64 " %10" PRIu64 "\n",
                   n, wheel ? "wheel" : "heap", r.completed, n, r.sim_ms,
-                  r.sim_ns_per_conn, r.wall_ns_per_conn, r.timer_pending_peak,
-                  r.timer_schedules, r.timer_fires);
+                  r.sim_ns_per_conn, r.wall_ns_per_conn, r.completion_p50_ns / 1e6,
+                  r.completion_p90_ns / 1e6, r.completion_p99_ns / 1e6,
+                  r.timer_pending_peak, r.timer_schedules, r.timer_fires);
       if (r.completed != n) {
         std::fprintf(stderr, "FAIL: only %d/%d connections completed (n=%d, %s)\n",
                      r.completed, n, n, wheel ? "wheel" : "heap");
@@ -231,6 +255,22 @@ int main(int argc, char** argv) {
           ",\"timer_cancels\":" + std::to_string(r.timer_cancels) +
           ",\"timer_fires\":" + std::to_string(r.timer_fires) + "}";
       reporter.Add(std::move(rec));
+      // Per-connection completion percentiles: unit "sim_ns", so the exact
+      // virtual-time gate covers them like the sim_ns/conn row.
+      for (const auto& [name, value] :
+           {std::pair{"p50", r.completion_p50_ns}, std::pair{"p90", r.completion_p90_ns},
+            std::pair{"p99", r.completion_p99_ns}}) {
+        bench::BenchRecord pct;
+        pct.experiment = "scale_connections";
+        pct.device = "ethernet-10";
+        pct.system = wheel ? "plexus-wheel" : "plexus-heap";
+        pct.metric = std::string("conn_completion_") + name + "_n" + std::to_string(n);
+        pct.unit = "sim_ns";
+        pct.measured = static_cast<double>(value);
+        pct.paper_expected = "n/a (scale workload)";
+        pct.metrics_json = "{\"n\":" + std::to_string(n) + "}";
+        reporter.Add(std::move(pct));
+      }
       // Companion wall-clock row. The "wall" metric/unit makes
       // bench_compare.py treat it as report-only (machine-dependent), while
       // the sim_ns row above stays a hard determinism gate. Distinct metric

@@ -1002,6 +1002,9 @@ void PlexusHost::CloseBatchScope(bool sheddable) {
     deferred_.OnStart();
     host_.Charge(sim::Duration::Nanos(host_.costs().batch_frame.ns() *
                                       static_cast<std::int64_t>(p->frames)));
+    // A hop carrying several frames is one batched unit of work: a reply
+    // sent for an early frame leaves before the later frames are handled.
+    sim::Host::BatchScope scope(host_, /*multi_frame=*/p->frames > 1);
     batch_active_ = true;
     for (GraphFn& fn : p->fns) fn();
     for (BatchFlushEntry& f : p->flushes) f.flush(true);

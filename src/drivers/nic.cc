@@ -96,11 +96,21 @@ void Nic::Transmit(net::MbufPtr frame) {
   host_.Charge(profile_.TxCpuCost(len));
   tx_frames_.Inc();
   tx_bytes_.Inc(len);
-  // The frame reaches the wire when the CPU finishes issuing the I/O.
+  // The frame reaches the wire once the CPU has issued the I/O. Inside a
+  // batched unit of work (Host::BatchScope) that is as soon as the work
+  // charged so far, this frame's driver cost included, has executed, so a
+  // reply leaves without waiting for the rest of the burst. Everywhere else
+  // it is the task's completion instant: the per-packet engine, and
+  // single-frame tasks in either engine (GSO jumbo sends included).
   auto shared = std::shared_ptr<net::Mbuf>(frame.release());
-  host_.AfterTask([this, shared]() mutable {
+  auto depart = [this, shared]() mutable {
     medium_->Transmit(this, net::MbufPtr(shared->ShareClone()));
-  });
+  };
+  if (host_.in_batch()) {
+    host_.AfterCharged(std::move(depart));
+  } else {
+    host_.AfterTask(std::move(depart));
+  }
 }
 
 void Nic::DeliverFromWire(net::MbufPtr frame, bool check_address) {
@@ -219,7 +229,10 @@ void Nic::DeliverBurst(bool polled, std::size_t max_frames) {
   rx_ring_gauge_.Set(static_cast<std::int64_t>(rx_ring_.size()));
   rx_bursts_->Inc();
   rx_burst_frames_->Inc(batch.size());
-  batch_rx_callback_(std::move(batch));
+  {
+    sim::Host::BatchScope scope(host_);
+    batch_rx_callback_(std::move(batch));
+  }
   if (!polled) host_.Charge(cm.interrupt_exit);
 }
 

@@ -5,8 +5,10 @@
 //
 // Transmit path: protocol code — already running inside a CPU task on the
 // host — calls Transmit. The NIC charges the driver's CPU cost to the
-// current task and hands the frame to the medium at the task's completion
-// instant (i.e. once the CPU has actually issued the I/O).
+// current task and hands the frame to the medium once the CPU has actually
+// issued the I/O: at the task's completion instant, or, inside a batched
+// unit of work carrying several frames (sim::Host::BatchScope), as soon as
+// the work charged up to and including this frame has executed.
 //
 // Receive path: the medium delivers a frame at a simulated instant; the NIC
 // refills a receive buffer from the host's bounded mbuf pool, enqueues it on
@@ -147,7 +149,8 @@ class Nic {
   // Drains up to max_frames off the ring into one MbufBatch and hands it
   // to the batch callback: interrupt entry/exit and the upcall are paid
   // once for the whole burst, per-frame work (descriptor pop + driver rx
-  // cost) stays per-frame.
+  // cost) stays per-frame. The upcall runs inside a sim::Host::BatchScope,
+  // so frames it transmits leave as the CPU issues them.
   void DeliverBurst(bool polled, std::size_t max_frames);
   // Sliding-window accounting of interrupt-level rx work; trips the
   // interrupt->poll transition past the profile's threshold.

@@ -163,6 +163,32 @@ class Host {
     current_->After(std::move(fn));
   }
 
+  // Schedules fn for the instant the current task has executed the work
+  // charged so far (CpuContext::AfterCharged).
+  void AfterCharged(AfterFn fn) {
+    assert(current_ != nullptr && "AfterCharged() outside of a CPU task");
+    current_->AfterCharged(std::move(fn));
+  }
+
+  // Brackets one batched unit of work that carries several frames (an rx
+  // burst's upcall, a coalesced graph hop). Code inside it releases each
+  // frame's effects when that frame's work is done, not when the whole
+  // unit's task retires: NAPI transmits from inside its poll loop. Nests;
+  // a scope constructed with multi_frame=false leaves the state as is.
+  class BatchScope {
+   public:
+    explicit BatchScope(Host& h, bool multi_frame = true)
+        : host_(h), prev_(std::exchange(h.in_batch_, h.in_batch_ || multi_frame)) {}
+    BatchScope(const BatchScope&) = delete;
+    BatchScope& operator=(const BatchScope&) = delete;
+    ~BatchScope() { host_.in_batch_ = prev_; }
+
+   private:
+    Host& host_;
+    bool prev_;
+  };
+  bool in_batch() const { return in_batch_; }
+
   // The host's bounded mbuf pool, or nullptr when the owner never attached
   // one (raw driver tests / benches keep unbounded allocation). A pointer
   // only: sim must not depend on net, and ownership stays with the
@@ -184,6 +210,7 @@ class Host {
   Random rng_;
   CpuContext* current_ = nullptr;
   BudgetFence* fence_ = nullptr;  // innermost active fence (intrusive stack)
+  bool in_batch_ = false;         // inside a BatchScope
   MetricsRegistry metrics_;
   Tracer* tracer_;
   int trace_track_;

@@ -24,6 +24,14 @@
 // re-run and must be bit-deterministic (same virtual end time, same raise
 // totals): the gate's identity guarantee rests on that determinism.
 //
+// Part C (departures): a burst of UDP echo requests reaches an
+// interrupt-mode Plexus server while its CPU is busy, so one rx interrupt
+// drains them all. Each echo must reach the wire once the CPU has issued
+// it, not when the whole burst's task retires; payloads stay byte-exact;
+// the per-packet engine keeps its departure times; a power cut drops the
+// pending departures; and a handler quarantined inside the burst leaves
+// no batch scope open behind it.
+//
 // Default 1000 seeds; PLEXUS_BATCH_SEEDS overrides for quick local runs.
 #include <gtest/gtest.h>
 
@@ -33,8 +41,10 @@
 #include <optional>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/plexus.h"
@@ -422,6 +432,196 @@ TEST(BatchEquivalence, SeededTransfersDeliverIdenticalBytesInEveryMode) {
   EXPECT_GT(gro_merges, 0u);
   RecordProperty("batch_raises_total", static_cast<int>(batch_raises));
   RecordProperty("gro_merges_total", static_cast<int>(gro_merges));
+}
+
+// --- Part C: reply departures from a multi-frame burst ---------------------
+
+// A point-to-point link that logs the instant each frame from one NIC
+// reaches it.
+class DepartureLog : public drivers::PointToPointLink {
+ public:
+  using PointToPointLink::PointToPointLink;
+  void Watch(const drivers::Nic* nic) { watched_ = nic; }
+  void Transmit(drivers::Nic* from, net::MbufPtr frame) override {
+    if (from == watched_) departures.push_back(sim_.Now().ns());
+    PointToPointLink::Transmit(from, std::move(frame));
+  }
+  std::vector<std::int64_t> departures;
+
+ private:
+  const drivers::Nic* watched_ = nullptr;
+};
+
+constexpr int kBurstFrames = 6;
+
+struct EchoBurst {
+  std::vector<std::int64_t> departures;  // server echoes reaching the wire
+  std::vector<std::int64_t> task_done;   // completion of each echo's task
+  std::vector<std::string> echoes;       // payloads back at the client
+  std::vector<bool> thrower_in_batch;    // Host::in_batch() inside the thrower
+  bool in_batch_after = true;
+  std::uint64_t quarantines = 0;
+  std::uint64_t slab_mbuf_in_use_after_crash = ~0ull;
+};
+
+std::string EchoRequest(int i) {
+  return "echo-" + std::to_string(i) + std::string(static_cast<std::size_t>(7 * i), 'x');
+}
+
+// The client sends kBurstFrames requests in one task while the server's
+// CPU is held by a 20 ms interrupt-level job, so they all wait in the rx
+// ring and one interrupt drains them. crash_at_ns > 0 cuts the server's
+// power at that instant; with_thrower installs a handler ahead of the echo
+// that throws until it is quarantined. A last request goes out alone after
+// the burst, as a control.
+EchoBurst RunEchoBurst(bool batched, std::int64_t crash_at_ns = 0,
+                       bool with_thrower = false) {
+  ScopedBatchMode m(batched);
+  EchoBurst out;
+  sim::Simulator sim;
+  DepartureLog link(sim);
+  const auto costs = sim::CostModel::Default1996();
+  const auto profile = drivers::DeviceProfile::Ethernet10();
+  core::PlexusHost server(sim, "server", costs, profile,
+                          {net::MacAddress::FromId(1), net::Ipv4Address(10, 0, 0, 1), 24},
+                          core::HandlerMode::kInterrupt, 1);
+  core::PlexusHost client(sim, "client", costs, profile,
+                          {net::MacAddress::FromId(2), net::Ipv4Address(10, 0, 0, 2), 24},
+                          core::HandlerMode::kInterrupt, 2);
+  server.AttachTo(link);
+  client.AttachTo(link);
+  link.Watch(&server.nic());
+  server.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  client.ip_layer().routes().Add(net::Ipv4Address(10, 0, 0, 0), 24);
+  server.arp().AddStatic(net::Ipv4Address(10, 0, 0, 2), net::MacAddress::FromId(2));
+  client.arp().AddStatic(net::Ipv4Address(10, 0, 0, 1), net::MacAddress::FromId(1));
+
+  {
+    auto echo = server.udp().CreateEndpoint(7).value();
+    if (with_thrower) {
+      spin::HandlerOptions opts;
+      opts.ephemeral = true;
+      opts.name = "thrower";
+      EXPECT_TRUE(echo->InstallReceiveHandler(
+                          [&](const net::Mbuf&, const proto::UdpDatagram&) {
+                            out.thrower_in_batch.push_back(server.host().in_batch());
+                            throw std::runtime_error("extension bug");
+                          },
+                          opts)
+                      .ok());
+    }
+    spin::HandlerOptions opts;
+    opts.ephemeral = true;
+    opts.name = "echo";
+    core::UdpEndpoint* ep = echo.get();
+    EXPECT_TRUE(ep->InstallReceiveHandler(
+                      [&, ep](const net::Mbuf& payload, const proto::UdpDatagram& d) {
+                        ep->Send(net::Mbuf::FromBytes(payload.Linearize()), d.src_ip,
+                                 d.src_port);
+                        server.host().AfterTask(
+                            [&] { out.task_done.push_back(sim.Now().ns()); });
+                      },
+                      opts)
+                    .ok());
+    auto rx = client.udp().CreateEndpoint(5000).value();
+    opts.name = "echo-sink";
+    EXPECT_TRUE(rx->InstallReceiveHandler(
+                      [&](const net::Mbuf& payload, const proto::UdpDatagram&) {
+                        out.echoes.push_back(payload.ToString());
+                      },
+                      opts)
+                    .ok());
+
+    server.host().Submit(sim::Priority::kInterrupt,
+                         [&] { server.host().Charge(sim::Duration::Millis(20)); });
+    client.Run([&] {
+      for (int i = 0; i < kBurstFrames; ++i) {
+        rx->Send(net::Mbuf::FromString(EchoRequest(i)), net::Ipv4Address(10, 0, 0, 1), 7);
+      }
+    });
+    if (crash_at_ns > 0) {
+      // An endpoint must not outlive the UDP manager a crash tears down.
+      sim.ScheduleAt(sim::TimePoint() + sim::Duration::Nanos(crash_at_ns), [&] {
+        echo.reset();
+        server.Crash();
+      });
+    }
+    sim.RunFor(sim::Duration::Millis(100));
+    if (crash_at_ns > 0) {
+      out.slab_mbuf_in_use_after_crash = sim::SlabRegistry::InUse("mbuf");
+    } else {
+      client.Run([&] {
+        rx->Send(net::Mbuf::FromString(EchoRequest(kBurstFrames)),
+                 net::Ipv4Address(10, 0, 0, 1), 7);
+      });
+      sim.RunFor(sim::Duration::Millis(100));
+    }
+    out.in_batch_after = server.host().in_batch();
+    out.quarantines = server.dispatcher().stats().quarantines;
+  }
+  out.departures = link.departures;
+  return out;
+}
+
+TEST(BatchDeparture, BurstEchoesLeaveAsTheCpuIssuesThem) {
+  const EchoBurst on = RunEchoBurst(/*batched=*/true);
+  ASSERT_EQ(on.echoes.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  for (int i = 0; i <= kBurstFrames; ++i) EXPECT_EQ(on.echoes[i], EchoRequest(i));
+  ASSERT_EQ(on.departures.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  ASSERT_EQ(on.task_done.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  // One task ran the whole burst; each echo left when the CPU had issued
+  // it, strictly before that task retired, except the last.
+  for (int i = 1; i < kBurstFrames; ++i) {
+    EXPECT_EQ(on.task_done[i], on.task_done[0]);
+    EXPECT_LE(on.departures[i - 1], on.departures[i]);
+  }
+  for (int i = 0; i + 1 < kBurstFrames; ++i) EXPECT_LT(on.departures[i], on.task_done[i]) << i;
+  EXPECT_LE(on.departures[kBurstFrames - 1], on.task_done[kBurstFrames - 1]);
+  // The lone control request is single-frame work: it leaves at its task's
+  // completion, as in the per-packet engine.
+  EXPECT_EQ(on.departures[kBurstFrames], on.task_done[kBurstFrames]);
+  EXPECT_FALSE(on.in_batch_after);
+}
+
+TEST(BatchDeparture, PerPacketEngineKeepsItsDepartureTimes) {
+  const EchoBurst off = RunEchoBurst(/*batched=*/false);
+  ASSERT_EQ(off.echoes.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  for (int i = 0; i <= kBurstFrames; ++i) EXPECT_EQ(off.echoes[i], EchoRequest(i));
+  // One interrupt per frame; every echo leaves at its own task's end. The
+  // instants are the ones the per-packet engine has always produced.
+  EXPECT_EQ(off.departures, off.task_done);
+  const std::vector<std::int64_t> want = {20'265'044, 20'530'200, 20'795'468, 21'060'848,
+                                          21'326'340, 21'591'944, 100'488'524};
+  EXPECT_EQ(off.departures, want);
+}
+
+TEST(BatchDeparture, CrashDropsPendingDepartures) {
+  const EchoBurst on = RunEchoBurst(/*batched=*/true);
+  ASSERT_EQ(on.departures.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  // Power fails after the first echo left and before the burst task ends.
+  const std::int64_t crash_at = (on.departures[0] + on.task_done[0]) / 2;
+  ASSERT_GT(crash_at, on.departures[0]);
+  const EchoBurst crashed = RunEchoBurst(/*batched=*/true, crash_at);
+  ASSERT_FALSE(crashed.departures.empty());
+  EXPECT_LT(crashed.departures.size(), static_cast<std::size_t>(kBurstFrames));
+  for (const std::int64_t t : crashed.departures) EXPECT_LE(t, crash_at);
+  for (std::size_t i = 0; i < crashed.departures.size(); ++i) {
+    EXPECT_EQ(crashed.departures[i], on.departures[i]);
+  }
+  EXPECT_EQ(crashed.slab_mbuf_in_use_after_crash, 0u);
+}
+
+TEST(BatchDeparture, QuarantineInsideTheBurstUnwindsTheBatchScope) {
+  const EchoBurst on = RunEchoBurst(/*batched=*/true, 0, /*with_thrower=*/true);
+  EXPECT_EQ(on.quarantines, 1u);
+  const std::vector<bool> in_batch(core::kDefaultMaxStrikes, true);
+  EXPECT_EQ(on.thrower_in_batch, in_batch);
+  EXPECT_FALSE(on.in_batch_after);
+  ASSERT_EQ(on.echoes.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  for (int i = 0; i <= kBurstFrames; ++i) EXPECT_EQ(on.echoes[i], EchoRequest(i));
+  ASSERT_EQ(on.departures.size(), static_cast<std::size_t>(kBurstFrames + 1));
+  EXPECT_LT(on.departures[0], on.task_done[0]);
+  EXPECT_EQ(on.departures[kBurstFrames], on.task_done[kBurstFrames]);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event simulation substrate.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cost_model.h"
@@ -311,6 +313,141 @@ TEST(Cpu, PreemptedChainRetainsFifoWithinPriority) {
   EXPECT_EQ(order[2], "t1");
 }
 
+TEST(Cpu, AfterChargedFiresAtSliceStartPlusOffset) {
+  Simulator s;
+  Cpu cpu(s);
+  std::vector<std::pair<std::string, double>> fired;
+  s.Schedule(Duration::Micros(100), [&] {
+    cpu.Submit(Priority::kKernel, [&](CpuContext& ctx) {
+      ctx.AfterCharged([&] { fired.emplace_back("at0", s.Now().us()); });
+      ctx.Charge(Duration::Micros(10));
+      ctx.AfterCharged([&] { fired.emplace_back("at10", s.Now().us()); });
+      ctx.Charge(Duration::Micros(15));
+      ctx.AfterCharged([&] { fired.emplace_back("at25", s.Now().us()); });
+      ctx.AfterCharged([&] { fired.emplace_back("at25b", s.Now().us()); });
+      ctx.Charge(Duration::Micros(5));
+      ctx.After([&] { fired.emplace_back("done", s.Now().us()); });
+    });
+  });
+  s.Run();
+  const std::vector<std::pair<std::string, double>> want = {
+      {"at0", 100.0}, {"at10", 110.0}, {"at25", 125.0}, {"at25b", 125.0}, {"done", 130.0}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(cpu.busy_total().us(), 30.0);
+}
+
+TEST(Cpu, PreemptionDelaysUnfiredAfterChargedByExactlyThePreemption) {
+  Simulator s;
+  Cpu cpu(s);
+  std::vector<std::pair<std::string, double>> fired;
+  cpu.Submit(Priority::kThread, [&](CpuContext& ctx) {
+    ctx.Charge(Duration::Millis(1));
+    ctx.AfterCharged([&] { fired.emplace_back("1ms", s.Now().us()); });
+    ctx.Charge(Duration::Millis(3));
+    ctx.AfterCharged([&] { fired.emplace_back("4ms", s.Now().us()); });
+    ctx.Charge(Duration::Millis(2));
+    ctx.AfterCharged([&] { fired.emplace_back("6ms", s.Now().us()); });
+    ctx.Charge(Duration::Millis(4));
+    ctx.After([&] { fired.emplace_back("thread", s.Now().us()); });
+  });
+  // A 1.5 ms interrupt at t=2ms: the entry at 1 ms has fired and stays
+  // fired; the ones at 4 and 6 ms and the completion move by 1.5 ms.
+  s.Schedule(Duration::Millis(2), [&] {
+    cpu.Submit(Priority::kInterrupt, [&](CpuContext& ctx) {
+      ctx.Charge(Duration::Micros(1500));
+      ctx.After([&] { fired.emplace_back("interrupt", s.Now().us()); });
+    });
+  });
+  s.Run();
+  const std::vector<std::pair<std::string, double>> want = {
+      {"1ms", 1000.0},   {"interrupt", 3500.0}, {"4ms", 5500.0},
+      {"6ms", 7500.0},   {"thread", 11500.0}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(cpu.preemptions(), 1u);
+}
+
+TEST(Cpu, AfterChargedCallbackThatPreemptsItsOwnSliceStopsThere) {
+  // An entry's callback submits an interrupt: the interrupt preempts the
+  // slice at once, the entry due at the same instant moves with the
+  // remainder, and the interrupt's own entry fires on its own schedule.
+  Simulator s;
+  Cpu cpu(s);
+  std::vector<std::pair<std::string, double>> fired;
+  cpu.Submit(Priority::kThread, [&](CpuContext& ctx) {
+    ctx.Charge(Duration::Millis(1));
+    ctx.AfterCharged([&] {
+      fired.emplace_back("a", s.Now().us());
+      cpu.Submit(Priority::kInterrupt, [&](CpuContext& ictx) {
+        ictx.Charge(Duration::Millis(1));
+        ictx.AfterCharged([&] { fired.emplace_back("irq.entry", s.Now().us()); });
+        ictx.Charge(Duration::Millis(1));
+        ictx.After([&] { fired.emplace_back("irq", s.Now().us()); });
+      });
+    });
+    ctx.AfterCharged([&] { fired.emplace_back("b", s.Now().us()); });
+    ctx.Charge(Duration::Millis(3));
+    ctx.AfterCharged([&] { fired.emplace_back("c", s.Now().us()); });
+    ctx.Charge(Duration::Millis(1));
+    ctx.After([&] { fired.emplace_back("thread", s.Now().us()); });
+  });
+  s.Run();
+  const std::vector<std::pair<std::string, double>> want = {
+      {"a", 1000.0}, {"irq.entry", 2000.0}, {"irq", 3000.0},
+      {"b", 3000.0}, {"c", 6000.0},         {"thread", 7000.0}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(cpu.preemptions(), 1u);
+}
+
+TEST(Cpu, AfterChargedAtTotalChargeFiresAtCompletionBeforeAfter) {
+  Simulator s;
+  Cpu cpu(s);
+  std::vector<std::pair<std::string, double>> fired;
+  cpu.Submit(Priority::kKernel, [&](CpuContext& ctx) {
+    ctx.Charge(Duration::Micros(8));
+    ctx.After([&] { fired.emplace_back("after", s.Now().us()); });
+    ctx.AfterCharged([&] { fired.emplace_back("first", s.Now().us()); });
+    ctx.AfterCharged([&] { fired.emplace_back("second", s.Now().us()); });
+  });
+  // A zero-cost task: its entry sits at the total charge too.
+  cpu.Submit(Priority::kKernel, [&](CpuContext& ctx) {
+    ctx.After([&] { fired.emplace_back("zero.after", s.Now().us()); });
+    ctx.AfterCharged([&] { fired.emplace_back("zero.entry", s.Now().us()); });
+  });
+  s.Run();
+  const std::vector<std::pair<std::string, double>> want = {
+      {"first", 8.0}, {"second", 8.0}, {"after", 8.0},
+      {"zero.entry", 8.0}, {"zero.after", 8.0}};
+  EXPECT_EQ(fired, want);
+}
+
+TEST(Cpu, ResetDropsPendingAfterCharged) {
+  Simulator s;
+  Cpu cpu(s);
+  int fired = 0;
+  // One running slice with an entry still ahead of it, and one preempted
+  // remainder carrying its entry in the queue.
+  cpu.Submit(Priority::kThread, [&](CpuContext& ctx) {
+    ctx.Charge(Duration::Millis(5));
+    ctx.AfterCharged([&] { ++fired; });
+    ctx.Charge(Duration::Millis(5));
+  });
+  s.Schedule(Duration::Millis(1), [&] {
+    cpu.Submit(Priority::kInterrupt, [&](CpuContext& ctx) {
+      ctx.Charge(Duration::Millis(2));
+      ctx.AfterCharged([&] { ++fired; });
+      ctx.Charge(Duration::Millis(2));
+    });
+  });
+  s.RunUntil(TimePoint() + Duration::Millis(2));
+  ASSERT_FALSE(cpu.idle());
+  cpu.Reset();
+  s.Run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(cpu.idle());
+  EXPECT_EQ(cpu.queued(), 0u);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
 TEST(Cpu, UtilizationHelper) {
   EXPECT_DOUBLE_EQ(Cpu::Utilization(Duration::Micros(50), Duration::Micros(100)), 0.5);
   EXPECT_DOUBLE_EQ(Cpu::Utilization(Duration::Micros(200), Duration::Micros(100)), 1.0);
@@ -347,6 +484,29 @@ TEST(Host, NestedSubmitKeepsContextsSeparate) {
   s.Run();
   EXPECT_EQ(outer_done, 5.0);
   EXPECT_EQ(inner_done, 7.0);
+}
+
+TEST(Host, BatchScopeNestsAndUnwinds) {
+  Simulator s;
+  Host h(s, "alpha", CostModel::Default1996());
+  EXPECT_FALSE(h.in_batch());
+  {
+    Host::BatchScope single(h, /*multi_frame=*/false);
+    EXPECT_FALSE(h.in_batch());
+    {
+      Host::BatchScope burst(h);
+      EXPECT_TRUE(h.in_batch());
+      Host::BatchScope inner_single(h, /*multi_frame=*/false);
+      EXPECT_TRUE(h.in_batch());
+    }
+    EXPECT_FALSE(h.in_batch());
+  }
+  try {
+    Host::BatchScope burst(h);
+    throw std::runtime_error("quarantined");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_FALSE(h.in_batch());
 }
 
 TEST(Random, DeterministicFromSeed) {

@@ -1,29 +1,27 @@
-// Microbenchmark for the scheduler tentpole: schedule+cancel throughput of
-// the hierarchical timing wheel against the binary heap it replaces, at
-// connection-scale pending-timer populations.
+// Microbenchmark for the simulator's event queue, the hierarchical timing
+// wheel: schedule+cancel throughput and drain cost at connection-scale
+// pending-timer populations.
 //
 // The workload is the TCP regime that motivated the wheel: a large stable
 // population of pending timers (RTO / delack / 2MSL) where nearly every
 // timer is cancelled and re-armed before it fires — each ACK disarms and
-// re-arms the retransmit timer. The heap pays O(log n) per op plus the
-// lazy-cancellation dead entries; the wheel pays O(1) with eager removal.
+// re-arms the retransmit timer. The wheel pays O(1) per schedule and per
+// eager cancel, and amortized O(levels) per fire.
 //
-// Exit status is the perf gate: the wheel must deliver >= 1.5x the heap's
-// schedule+cancel throughput at 64k pending timers. The gate was >= 5x
-// when the heap baseline malloc'd a node per schedule; now both queues
-// draw nodes from the same slab pool, so the remaining edge is purely
-// algorithmic (O(1) eager cancel vs O(log n) sift + lazy-cancel debris)
-// and measures ~2.4x — the gate asserts that algorithmic edge with
-// headroom for machine noise, not the old allocation gap.
+// Exit status is the perf gate, the wheel's own O(1) claim measured against
+// its cost at 1k pending timers: at 64k pending, drain ns/fire must stay
+// within 2.5x and schedule+cancel ns/pair within 3x of their 1k values.
+// A binary heap in its place measures a 3.6-6.1x drain ratio and fails
+// the first bound; an O(n) cancel fails the second. A uniform
+// constant-factor slowdown is not this gate's subject (the end-to-end
+// host-CPU benchmark covers that).
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "sim/metrics.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -48,11 +46,10 @@ int g_fired = 0;
 
 // Steady-state ns per (cancel + re-schedule) pair at `pending` outstanding
 // timers. Best of `trials` fresh simulators.
-double SchedCancelNsPerPair(sim::SchedulerImpl impl, int pending, int pairs,
-                            int trials = 5) {
+double SchedCancelNsPerPair(int pending, int pairs, int trials = 5) {
   double best = 1e100;
   for (int t = 0; t < trials; ++t) {
-    sim::Simulator sim(impl);
+    sim::Simulator sim;
     std::vector<sim::EventId> ids(static_cast<std::size_t>(pending));
     for (int i = 0; i < pending; ++i) {
       ids[static_cast<std::size_t>(i)] =
@@ -80,11 +77,11 @@ double SchedCancelNsPerPair(sim::SchedulerImpl impl, int pending, int pairs,
 }
 
 // ns per fire when draining `pending` timers to empty (pop-side cost,
-// including the wheel's cascades).
-double DrainNsPerFire(sim::SchedulerImpl impl, int pending, int trials = 5) {
+// including cascades).
+double DrainNsPerFire(int pending, int trials = 5) {
   double best = 1e100;
   for (int t = 0; t < trials; ++t) {
-    sim::Simulator sim(impl);
+    sim::Simulator sim;
     for (int i = 0; i < pending; ++i) {
       sim.Schedule(DelayFor(static_cast<std::uint64_t>(i)), [] { ++g_fired; });
     }
@@ -107,41 +104,35 @@ int main(int argc, char** argv) {
   const std::string json_path = bench::ArgAfter(argc, argv, "--json");
   bench::JsonReporter reporter;
 
-  std::printf("timer queue: schedule+cancel pairs and drain, wheel vs heap\n");
+  std::printf("timer wheel: schedule+cancel pairs and drain vs pending timers\n");
   std::printf("(the per-ACK disarm/re-arm pattern of N concurrent TCP connections)\n\n");
-  std::printf("  %8s | %13s %13s %8s | %12s %12s\n", "pending", "heap ns/pair",
-              "wheel ns/pair", "speedup", "heap drain", "wheel drain");
+  std::printf("  %8s | %10s %10s\n", "pending", "ns/pair", "drain ns");
 
-  double heap_64k = 0, wheel_64k = 0;
-  for (const int pending : {1024, 16384, 65536}) {
-    const int pairs = 200000;
-    const double heap_pair =
-        SchedCancelNsPerPair(sim::SchedulerImpl::kHeap, pending, pairs);
-    const double wheel_pair =
-        SchedCancelNsPerPair(sim::SchedulerImpl::kWheel, pending, pairs);
-    const double heap_drain = DrainNsPerFire(sim::SchedulerImpl::kHeap, pending);
-    const double wheel_drain = DrainNsPerFire(sim::SchedulerImpl::kWheel, pending);
-    std::printf("  %8d | %13.1f %13.1f %7.1fx | %12.1f %12.1f\n", pending,
-                heap_pair, wheel_pair, heap_pair / wheel_pair, heap_drain,
-                wheel_drain);
-    if (pending == 65536) {
-      heap_64k = heap_pair;
-      wheel_64k = wheel_pair;
+  constexpr int kSmall = 1024;
+  constexpr int kLarge = 65536;
+  double pair_small = 0, pair_large = 0, drain_small = 0, drain_large = 0;
+  for (const int pending : {kSmall, 16384, kLarge}) {
+    const double pair = SchedCancelNsPerPair(pending, 200000);
+    const double drain = DrainNsPerFire(pending);
+    std::printf("  %8d | %10.1f %10.1f\n", pending, pair, drain);
+    if (pending == kSmall) {
+      pair_small = pair;
+      drain_small = drain;
+    } else if (pending == kLarge) {
+      pair_large = pair;
+      drain_large = drain;
     }
-    for (const bool wheel : {false, true}) {
-      bench::BenchRecord r;
-      r.experiment = "micro_timer_queue";
-      r.device = "wall-clock";
-      r.system = wheel ? "wheel" : "heap";
-      r.metric = "sched_cancel_n" + std::to_string(pending);
-      r.unit = "ns/pair";
-      r.measured = wheel ? wheel_pair : heap_pair;
-      r.paper_expected = "n/a (scheduler ablation)";
-      r.metrics_json = "{\"pending\":" + std::to_string(pending) +
-                       ",\"drain_ns_per_fire\":" +
-                       std::to_string(wheel ? wheel_drain : heap_drain) + "}";
-      reporter.Add(std::move(r));
-    }
+    bench::BenchRecord r;
+    r.experiment = "micro_timer_queue";
+    r.device = "wall-clock";
+    r.system = "wheel";
+    r.metric = "sched_cancel_n" + std::to_string(pending);
+    r.unit = "ns/pair";
+    r.measured = pair;
+    r.paper_expected = "n/a (scheduler scaling)";
+    r.metrics_json = "{\"pending\":" + std::to_string(pending) +
+                     ",\"drain_ns_per_fire\":" + std::to_string(drain) + "}";
+    reporter.Add(std::move(r));
   }
 
   int rc = 0;
@@ -149,16 +140,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: could not write %s\n", json_path.c_str());
     rc = 1;
   }
-  const double speedup = heap_64k / wheel_64k;
-  if (speedup < 1.5) {
+  const double drain_ratio = drain_large / drain_small;
+  const double pair_ratio = pair_large / pair_small;
+  std::printf("\n  64k/1k ratio: drain %.2fx (gate <= 2.5x), schedule+cancel %.2fx "
+              "(gate <= 3x)\n",
+              drain_ratio, pair_ratio);
+  if (drain_ratio > 2.5) {
     std::fprintf(stderr,
-                 "FAIL: wheel schedule+cancel at 64k pending is only %.1fx the "
-                 "heap (gate: >=1.5x) — eager O(1) cancellation is not paying off\n",
-                 speedup);
+                 "FAIL: drain at 64k pending costs %.2fx its 1k value (gate: <= 2.5x) "
+                 "— pops are not O(1) in the pending population\n",
+                 drain_ratio);
     rc = 1;
-  } else {
-    std::printf("\n  timer gate PASS: wheel is %.1fx heap at 64k pending (>=1.5x required)\n",
-                speedup);
   }
+  if (pair_ratio > 3.0) {
+    std::fprintf(stderr,
+                 "FAIL: schedule+cancel at 64k pending costs %.2fx its 1k value "
+                 "(gate: <= 3x) — schedule or cancel is not O(1)\n",
+                 pair_ratio);
+    rc = 1;
+  }
+  if (rc == 0) std::printf("  timer gate PASS\n");
   return rc;
 }

@@ -6,19 +6,16 @@
 // Every connection performs connect / HTTP GET / close. Induced frame loss
 // forces RTO and delayed-ACK traffic, and every close parks a 2MSL timer, so
 // the pending-timer population grows with N — exactly the load the
-// hierarchical timing wheel (SchedulerImpl::kWheel) exists for. The bench
-// runs each N under both scheduler implementations and reports wall-clock
-// and simulated ns per connection, the per-connection completion time
-// (connect to response) at p50/p90/p99, and the pending-timer high-water
-// mark (sim.timer_pending_peak). sim ns/conn is the last response's instant
-// divided by N, so the slowest connection alone sets it; the percentiles
-// show what the population saw.
-//
-// The two implementations must also agree bit-for-bit on virtual time:
-// identical (deadline, FIFO) firing order means the simulated completion
-// time is the same number under heap and wheel. The bench exits non-zero if
-// they diverge.
+// simulator's hierarchical timing wheel exists for. The bench runs each N
+// once and reports wall-clock and simulated ns per connection, the
+// per-connection completion time (connect to response) at p50/p90/p99, and
+// the pending-timer high-water mark (sim.timer_pending_peak). sim ns/conn
+// is the last response's instant divided by N, so the slowest connection
+// alone sets it; the percentiles show what the population saw. Records
+// carry the system name "plexus-wheel", the name the committed baselines
+// use; scripts/check.sh diffs their sim_ns rows exactly.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -56,10 +53,10 @@ struct ScaleResult {
   double profiled_self_ns = 0;
 };
 
-ScaleResult RunScale(sim::SchedulerImpl impl, int n) {
+ScaleResult RunScale(int n) {
   const auto wall_start = std::chrono::steady_clock::now();
 
-  sim::Simulator sim(impl);
+  sim::Simulator sim;
   drivers::EthernetSegment segment(sim);
   drivers::Faults faults;
   faults.drop_probability = 0.005;  // ~0.5% frame loss: RTO timers really fire
@@ -169,6 +166,14 @@ ScaleResult RunScale(sim::SchedulerImpl impl, int n) {
   return result;
 }
 
+// A --sizes entry as a positive int (decimal digits only), or 0 if it is
+// not one.
+int ParsePositive(const std::string& tok) {
+  int n = 0;
+  const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), n);
+  return ec == std::errc() && end == tok.data() + tok.size() && n > 0 ? n : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -188,7 +193,15 @@ int main(int argc, char** argv) {
       const std::size_t comma = arg.find(',', pos);
       const std::string tok = arg.substr(pos, comma == std::string::npos ? arg.size() - pos
                                                                          : comma - pos);
-      if (!tok.empty()) sizes.push_back(std::stoi(tok));
+      if (!tok.empty()) {
+        const int n = ParsePositive(tok);
+        if (n <= 0) {
+          std::fprintf(stderr, "FAIL: --sizes entry '%s' is not a positive integer\n",
+                       tok.c_str());
+          return 1;
+        }
+        sizes.push_back(n);
+      }
       if (comma == std::string::npos) break;
       pos = comma + 1;
     }
@@ -200,110 +213,91 @@ int main(int argc, char** argv) {
 
   std::printf("connection scale: N clients, connect/GET/close, 0.5%% frame loss\n");
   std::printf("(in-kernel web server; pending timers grow with N — RTO, delack, 2MSL)\n\n");
-  std::printf("  %6s %6s | %9s %13s %13s %11s | %9s %9s %9s | %10s %10s %10s\n", "N",
-              "sched", "done", "sim ms total", "sim ns/conn", "wall ns/c", "p50 ms",
+  std::printf("  %6s | %9s %13s %13s %11s | %9s %9s %9s | %10s %10s %10s\n", "N",
+              "done", "sim ms total", "sim ns/conn", "wall ns/c", "p50 ms",
               "p90 ms", "p99 ms", "peak timers", "schedules", "fires");
 
   int rc = 0;
   for (const int n : sizes) {
-    ScaleResult by_impl[2];
-    for (const sim::SchedulerImpl impl :
-         {sim::SchedulerImpl::kHeap, sim::SchedulerImpl::kWheel}) {
-      const bool wheel = impl == sim::SchedulerImpl::kWheel;
-      const ScaleResult r = RunScale(impl, n);
-      by_impl[wheel ? 1 : 0] = r;
-      std::printf("  %6d %6s | %4d/%-4d %13.1f %13.0f %11.0f | %9.1f %9.1f %9.1f | %10" PRId64
-                  " %10" PRIu64 " %10" PRIu64 "\n",
-                  n, wheel ? "wheel" : "heap", r.completed, n, r.sim_ms,
-                  r.sim_ns_per_conn, r.wall_ns_per_conn, r.completion_p50_ns / 1e6,
-                  r.completion_p90_ns / 1e6, r.completion_p99_ns / 1e6,
-                  r.timer_pending_peak, r.timer_schedules, r.timer_fires);
-      if (r.completed != n) {
-        std::fprintf(stderr, "FAIL: only %d/%d connections completed (n=%d, %s)\n",
-                     r.completed, n, n, wheel ? "wheel" : "heap");
-        rc = 1;
-      }
-      // Profiler acceptance gate: at the top N, the ranked self-time table
-      // must account for at least 90% of the run loop's measured wall time.
-      if (profiling && n == 10000) {
-        const double coverage = r.profiled_self_ns / r.run_loop_wall_ns;
-        std::printf("         profile coverage: %.1f%% of %.1f ms run-loop wall (%s)\n",
-                    coverage * 100.0, r.run_loop_wall_ns / 1e6,
-                    wheel ? "wheel" : "heap");
-        if (coverage < 0.90) {
-          std::fprintf(stderr,
-                       "FAIL: profiled self-time covers only %.1f%% of the "
-                       "run loop at n=%d (%s); need >= 90%%\n",
-                       coverage * 100.0, n, wheel ? "wheel" : "heap");
-          rc = 1;
-        }
-      }
-      bench::BenchRecord rec;
-      rec.experiment = "scale_connections";
-      rec.device = "ethernet-10";
-      rec.system = wheel ? "plexus-wheel" : "plexus-heap";
-      rec.metric = "conn_n" + std::to_string(n);
-      rec.unit = "sim_ns/conn";
-      rec.measured = r.sim_ns_per_conn;
-      rec.paper_expected = "n/a (scale workload)";
-      rec.metrics_json =
-          "{\"n\":" + std::to_string(n) +
-          ",\"completed\":" + std::to_string(r.completed) +
-          ",\"wall_ns_per_conn\":" + std::to_string(r.wall_ns_per_conn) +
-          ",\"timer_pending_peak\":" + std::to_string(r.timer_pending_peak) +
-          ",\"timer_schedules\":" + std::to_string(r.timer_schedules) +
-          ",\"timer_cancels\":" + std::to_string(r.timer_cancels) +
-          ",\"timer_fires\":" + std::to_string(r.timer_fires) + "}";
-      reporter.Add(std::move(rec));
-      // Per-connection completion percentiles: unit "sim_ns", so the exact
-      // virtual-time gate covers them like the sim_ns/conn row.
-      for (const auto& [name, value] :
-           {std::pair{"p50", r.completion_p50_ns}, std::pair{"p90", r.completion_p90_ns},
-            std::pair{"p99", r.completion_p99_ns}}) {
-        bench::BenchRecord pct;
-        pct.experiment = "scale_connections";
-        pct.device = "ethernet-10";
-        pct.system = wheel ? "plexus-wheel" : "plexus-heap";
-        pct.metric = std::string("conn_completion_") + name + "_n" + std::to_string(n);
-        pct.unit = "sim_ns";
-        pct.measured = static_cast<double>(value);
-        pct.paper_expected = "n/a (scale workload)";
-        pct.metrics_json = "{\"n\":" + std::to_string(n) + "}";
-        reporter.Add(std::move(pct));
-      }
-      // Companion wall-clock row. The "wall" metric/unit makes
-      // bench_compare.py treat it as report-only (machine-dependent), while
-      // the sim_ns row above stays a hard determinism gate. Distinct metric
-      // name: compare keys are (experiment, device, system, metric).
-      bench::BenchRecord wall;
-      wall.experiment = "scale_connections";
-      wall.device = "ethernet-10";
-      wall.system = wheel ? "plexus-wheel" : "plexus-heap";
-      wall.metric = "wall_n" + std::to_string(n);
-      wall.unit = "wall_ns/conn";
-      wall.measured = r.wall_ns_per_conn;
-      wall.paper_expected = "n/a (host wall clock, report-only)";
-      wall.metrics_json = "{\"n\":" + std::to_string(n) + "}";
-      reporter.Add(std::move(wall));
-    }
-    // Determinism across queue implementations: same (deadline, FIFO) order
-    // must mean the same virtual completion time to the nanosecond.
-    if (by_impl[0].sim_ns_per_conn != by_impl[1].sim_ns_per_conn ||
-        by_impl[0].timer_fires != by_impl[1].timer_fires) {
-      std::fprintf(stderr,
-                   "FAIL: heap and wheel diverge at n=%d (sim ns/conn %f vs %f, "
-                   "fires %" PRIu64 " vs %" PRIu64 ")\n",
-                   n, by_impl[0].sim_ns_per_conn, by_impl[1].sim_ns_per_conn,
-                   by_impl[0].timer_fires, by_impl[1].timer_fires);
+    const ScaleResult r = RunScale(n);
+    std::printf("  %6d | %4d/%-4d %13.1f %13.0f %11.0f | %9.1f %9.1f %9.1f | %10" PRId64
+                " %10" PRIu64 " %10" PRIu64 "\n",
+                n, r.completed, n, r.sim_ms, r.sim_ns_per_conn, r.wall_ns_per_conn,
+                r.completion_p50_ns / 1e6, r.completion_p90_ns / 1e6,
+                r.completion_p99_ns / 1e6, r.timer_pending_peak, r.timer_schedules,
+                r.timer_fires);
+    if (r.completed != n) {
+      std::fprintf(stderr, "FAIL: only %d/%d connections completed (n=%d)\n", r.completed,
+                   n, n);
       rc = 1;
     }
+    // Profiler acceptance gate: at the top N, the ranked self-time table
+    // must account for at least 90% of the run loop's measured wall time.
+    if (profiling && n == 10000) {
+      const double coverage = r.profiled_self_ns / r.run_loop_wall_ns;
+      std::printf("         profile coverage: %.1f%% of %.1f ms run-loop wall\n",
+                  coverage * 100.0, r.run_loop_wall_ns / 1e6);
+      if (coverage < 0.90) {
+        std::fprintf(stderr,
+                     "FAIL: profiled self-time covers only %.1f%% of the "
+                     "run loop at n=%d; need >= 90%%\n",
+                     coverage * 100.0, n);
+        rc = 1;
+      }
+    }
+    bench::BenchRecord rec;
+    rec.experiment = "scale_connections";
+    rec.device = "ethernet-10";
+    rec.system = "plexus-wheel";
+    rec.metric = "conn_n" + std::to_string(n);
+    rec.unit = "sim_ns/conn";
+    rec.measured = r.sim_ns_per_conn;
+    rec.paper_expected = "n/a (scale workload)";
+    rec.metrics_json =
+        "{\"n\":" + std::to_string(n) +
+        ",\"completed\":" + std::to_string(r.completed) +
+        ",\"wall_ns_per_conn\":" + std::to_string(r.wall_ns_per_conn) +
+        ",\"timer_pending_peak\":" + std::to_string(r.timer_pending_peak) +
+        ",\"timer_schedules\":" + std::to_string(r.timer_schedules) +
+        ",\"timer_cancels\":" + std::to_string(r.timer_cancels) +
+        ",\"timer_fires\":" + std::to_string(r.timer_fires) + "}";
+    reporter.Add(std::move(rec));
+    // Per-connection completion percentiles: unit "sim_ns", so the exact
+    // virtual-time gate covers them like the sim_ns/conn row.
+    for (const auto& [name, value] :
+         {std::pair{"p50", r.completion_p50_ns}, std::pair{"p90", r.completion_p90_ns},
+          std::pair{"p99", r.completion_p99_ns}}) {
+      bench::BenchRecord pct;
+      pct.experiment = "scale_connections";
+      pct.device = "ethernet-10";
+      pct.system = "plexus-wheel";
+      pct.metric = std::string("conn_completion_") + name + "_n" + std::to_string(n);
+      pct.unit = "sim_ns";
+      pct.measured = static_cast<double>(value);
+      pct.paper_expected = "n/a (scale workload)";
+      pct.metrics_json = "{\"n\":" + std::to_string(n) + "}";
+      reporter.Add(std::move(pct));
+    }
+    // Companion wall-clock row. The "wall" metric/unit makes
+    // bench_compare.py treat it as report-only (machine-dependent), while
+    // the sim_ns row above stays a hard determinism gate. Distinct metric
+    // name: compare keys are (experiment, device, system, metric).
+    bench::BenchRecord wall;
+    wall.experiment = "scale_connections";
+    wall.device = "ethernet-10";
+    wall.system = "plexus-wheel";
+    wall.metric = "wall_n" + std::to_string(n);
+    wall.unit = "wall_ns/conn";
+    wall.measured = r.wall_ns_per_conn;
+    wall.paper_expected = "n/a (host wall clock, report-only)";
+    wall.metrics_json = "{\"n\":" + std::to_string(n) + "}";
+    reporter.Add(std::move(wall));
   }
   if (rc == 0) {
-    std::printf("\n  scale check PASS: all connections completed; heap and wheel "
-                "agree on virtual time at every N\n");
+    std::printf("\n  scale check PASS: all connections completed at every N\n");
   }
   if (profiling) {
-    // Where the host CPU went during the last (n=10000, wheel) run.
+    // Where the host CPU went during the last run.
     std::printf("\n%s", sim::Profiler::RankedTable().c_str());
     if (!profile_path.empty()) {
       std::FILE* f = std::fopen(profile_path.c_str(), "w");

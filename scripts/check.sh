@@ -64,14 +64,14 @@ echo "=== slow pass: soak / scale suites (label: slow) ==="
 # in their own labelled pass, still under the sanitizers.
 ctest --test-dir "$BUILD_DIR" -L slow --output-on-failure "$@"
 
-echo "=== perf smoke: demux index vs linear guard scan, timer wheel vs heap ==="
+echo "=== perf smoke: demux index vs linear guard scan, timer wheel scaling ==="
 # Wall-clock gates, so they run against the regular (non-sanitized) build:
 # bench_micro_dispatch exits non-zero if indexed dispatch at N=256 handlers
 # is not at least 5x faster than the linear path it replaces (and if
 # disabled tracing taxes the raise path); bench_micro_timer exits non-zero
-# if the timing wheel's schedule+cancel throughput at 64k pending timers is
-# not at least 1.5x the binary heap's (both queues now slab-pooled, so the
-# gate measures the wheel's algorithmic edge).
+# unless the timing wheel stays O(1) in the pending population: at 64k
+# pending timers, drain ns/fire within 2.5x and schedule+cancel ns/pair
+# within 3x of their values at 1k pending.
 PERF_BUILD_DIR="${PERF_BUILD_DIR:-build}"
 cmake -B "$PERF_BUILD_DIR" -S .
 cmake --build "$PERF_BUILD_DIR" -j "$(nproc)" --target bench_micro_dispatch \

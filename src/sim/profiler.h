@@ -56,7 +56,7 @@ class Profiler {
     kTimerSchedule,     // Simulator::ScheduleAt
     kTimerCancel,       // Simulator::Cancel
     kTimerFire,         // popped event callback execution
-    kSchedulerPop,      // EventQueue::PopDueBefore (heap pop / wheel scan)
+    kSchedulerPop,      // TimerWheel::PopDueBefore (wheel scan)
     kSchedulerCascade,  // timing-wheel level cascade
     kMbufAlloc,         // Mbuf::Allocate / FromBytes (pooled or heap)
     kMbufFree,          // pooled segment retirement

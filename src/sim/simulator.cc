@@ -1,181 +1,16 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "sim/metrics.h"
 #include "sim/profiler.h"
-#include "sim/slab.h"
 #include "sim/tracer.h"
 
 namespace sim {
 
-// --- binary heap (ablation baseline) ----------------------------------------
-//
-// The original std::priority_queue scheduler, restated over a raw vector so
-// dead entries can be compacted. Cancel is lazy — it marks the id dead — but
-// no longer unbounded: whenever dead entries exceed half the queue, the live
-// entries are filtered out and re-heapified, so queue space and pop cost stay
-// proportional to live timers.
-//
-// Callbacks live in an IndexPool slab ("sched.heap_node"); the heap itself
-// holds POD entries {when, seq, node index, generation}, so pushes, sift
-// swaps, and compaction never touch a closure or the allocator. A cancelled
-// entry frees its node eagerly (bumping the generation, which is what marks
-// the heap entry dead) — only the 24-byte POD entry lingers until
-// compaction, matching the historical dead-entry accounting exactly.
-class Simulator::HeapQueue {
- public:
-  explicit HeapQueue(MetricsRegistry& metrics)
-      : pool_("sched.heap_node"),
-        dead_gauge_(metrics.gauge("sim.scheduler_dead_entries")),
-        compactions_(metrics.counter("sim.scheduler_compactions")) {}
-
-  EventId Push(TimePoint when, std::uint64_t seq, EventFn fn) {
-    const std::uint32_t idx = pool_.Alloc();
-    pool_.at(idx).fn = std::move(fn);
-    const std::uint32_t gen = pool_.gen(idx);
-    heap_.push_back(Entry{when, seq, idx, gen});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return (static_cast<EventId>(idx) + 1) << 32 | static_cast<EventId>(gen);
-  }
-
-  bool Cancel(EventId id) {
-    std::uint32_t idx;
-    if (!Decode(id, &idx)) return false;
-    // Free the node now (releases captures, bumps the generation so the
-    // heap entry reads as dead); the POD entry stays until compaction.
-    pool_.at(idx).fn = nullptr;
-    pool_.Free(idx);
-    ++dead_;
-    dead_gauge_.Set(static_cast<std::int64_t>(dead_));
-    MaybeCompact();
-    return true;
-  }
-
-  bool Contains(EventId id) const {
-    std::uint32_t idx;
-    return Decode(id, &idx);
-  }
-
-  bool PopDueBefore(TimePoint horizon, TimePoint* when, EventFn* fn) {
-    DropDeadHead();
-    if (heap_.empty() || heap_.front().when > horizon) return false;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const Entry e = heap_.back();
-    heap_.pop_back();
-    *when = e.when;
-    *fn = std::move(pool_.at(e.idx).fn);
-    pool_.Free(e.idx);
-    return true;
-  }
-
-  std::size_t live() const { return heap_.size() - dead_; }
-  std::size_t dead() const { return dead_; }
-
- private:
-  struct Node {
-    EventFn fn;
-  };
-  struct Entry {
-    TimePoint when;
-    std::uint64_t seq;
-    std::uint32_t idx;
-    std::uint32_t gen;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  bool Decode(EventId id, std::uint32_t* idx) const {
-    if (id == kInvalidEventId) return false;
-    const std::uint64_t slot_plus_one = id >> 32;
-    if (slot_plus_one == 0 || slot_plus_one > pool_.capacity()) return false;
-    const std::uint32_t i = static_cast<std::uint32_t>(slot_plus_one - 1);
-    if (!pool_.LiveHandle(i, static_cast<std::uint32_t>(id))) return false;
-    *idx = i;
-    return true;
-  }
-
-  bool EntryDead(const Entry& e) const {
-    return !pool_.LiveHandle(e.idx, e.gen);
-  }
-
-  void DropDeadHead() {
-    while (!heap_.empty() && EntryDead(heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-      --dead_;
-    }
-    dead_gauge_.Set(static_cast<std::int64_t>(dead_));
-  }
-
-  void MaybeCompact() {
-    if (dead_ * 2 <= heap_.size()) return;
-    std::erase_if(heap_, [this](const Entry& e) { return EntryDead(e); });
-    dead_ = 0;
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    compactions_.Inc();
-    dead_gauge_.Set(0);
-  }
-
-  std::vector<Entry> heap_;
-  IndexPool<Node> pool_;
-  std::size_t dead_ = 0;
-  Gauge& dead_gauge_;
-  Counter& compactions_;
-};
-
-// --- hierarchical timing wheel (default) ------------------------------------
-class Simulator::WheelQueue {
- public:
-  explicit WheelQueue(MetricsRegistry& metrics)
-      : cascades_(metrics.counter("sim.timer_cascades")) {}
-
-  EventId Push(TimePoint when, std::uint64_t seq, EventFn fn) {
-    return wheel_.Schedule(when, seq, std::move(fn));
-  }
-
-  bool Cancel(EventId id) { return wheel_.Cancel(id); }
-  bool Contains(EventId id) const { return wheel_.Contains(id); }
-
-  bool PopDueBefore(TimePoint horizon, TimePoint* when, EventFn* fn) {
-    const bool popped = wheel_.PopDueBefore(horizon, when, fn);
-    const std::uint64_t moves = wheel_.cascade_moves();
-    cascades_.Inc(moves - reported_moves_);
-    reported_moves_ = moves;
-    return popped;
-  }
-
-  std::size_t live() const { return wheel_.size(); }
-  std::size_t dead() const { return 0; }  // cancellation is eager
-
- private:
-  TimerWheel wheel_;
-  Counter& cascades_;
-  std::uint64_t reported_moves_ = 0;
-};
-
-// --- Simulator ---------------------------------------------------------------
-
-SchedulerImpl Simulator::DefaultSchedulerImpl() {
-  const char* env = std::getenv("PLEXUS_SCHED");
-  if (env != nullptr && std::string_view(env) == "heap") {
-    return SchedulerImpl::kHeap;
-  }
-  return SchedulerImpl::kWheel;
-}
-
-Simulator::Simulator(SchedulerImpl impl)
-    : impl_(impl),
-      metrics_(std::make_unique<MetricsRegistry>()),
+Simulator::Simulator()
+    : metrics_(std::make_unique<MetricsRegistry>()),
       tracer_(std::make_unique<Tracer>()) {
   schedules_ctr_ = &metrics_->counter("sim.timer_schedules");
   cancels_ctr_ = &metrics_->counter("sim.timer_cancels");
@@ -183,11 +18,7 @@ Simulator::Simulator(SchedulerImpl impl)
   pending_gauge_ = &metrics_->gauge("sim.timer_pending");
   pending_peak_ = &metrics_->gauge("sim.timer_pending_peak");
   delay_hist_ = &metrics_->histogram("sim.timer_delay_ns");
-  if (impl_ == SchedulerImpl::kHeap) {
-    heap_ = std::make_unique<HeapQueue>(*metrics_);
-  } else {
-    wheel_ = std::make_unique<WheelQueue>(*metrics_);
-  }
+  cascades_ctr_ = &metrics_->counter("sim.timer_cascades");
   // Ring overflow surfaces as sim.tracer_dropped; resolution is lazy (first
   // drop) so drop-free runs keep byte-identical metrics snapshots.
   tracer_->SetDropRegistry(metrics_.get());
@@ -199,42 +30,25 @@ EventId Simulator::ScheduleAt(TimePoint when, EventFn fn) {
   PLEXUS_PROFILE_SCOPE(kTimerSchedule);
   assert(fn != nullptr || !"scheduling an empty callback");
   if (when < now_) when = now_;  // never schedule into the past
-  const EventId id = wheel_ != nullptr
-                         ? wheel_->Push(when, next_seq_++, std::move(fn))
-                         : heap_->Push(when, next_seq_++, std::move(fn));
+  const EventId id = wheel_.Schedule(when, next_seq_++, std::move(fn));
   schedules_ctr_->Inc();
   delay_hist_->Observe((when - now_).ns());
-  pending_gauge_->Set(++live_);
-  if (live_ > pending_peak_->value()) pending_peak_->Set(live_);
+  const auto pending = static_cast<std::int64_t>(wheel_.size());
+  pending_gauge_->Set(pending);
+  if (pending > pending_peak_->value()) pending_peak_->Set(pending);
   return id;
 }
 
 void Simulator::Cancel(EventId id) {
   if (id == kInvalidEventId) return;
   PLEXUS_PROFILE_SCOPE(kTimerCancel);
-  const bool cancelled = wheel_ != nullptr ? wheel_->Cancel(id) : heap_->Cancel(id);
-  if (cancelled) {
+  if (wheel_.Cancel(id)) {
     cancels_ctr_->Inc();
-    pending_gauge_->Set(--live_);
+    pending_gauge_->Set(static_cast<std::int64_t>(wheel_.size()));
   }
 }
 
-bool Simulator::IsPending(EventId id) const {
-  if (id == kInvalidEventId) return false;
-  return wheel_ != nullptr ? wheel_->Contains(id) : heap_->Contains(id);
-}
-
-void Simulator::NoteFired(TimePoint when) {
-  now_ = when;
-  fires_ctr_->Inc();
-  pending_gauge_->Set(--live_);
-  ++events_processed_;
-}
-
-// The devirtualized run loop: instantiated once per concrete queue type, so
-// the pop and the fire are direct calls the compiler can inline.
-template <typename Q>
-std::size_t Simulator::Drain(Q& q, TimePoint horizon) {
+std::size_t Simulator::Drain(TimePoint horizon) {
   stopped_ = false;
   std::size_t fired = 0;
   TimePoint when;
@@ -243,10 +57,16 @@ std::size_t Simulator::Drain(Q& q, TimePoint horizon) {
     bool popped;
     {
       PLEXUS_PROFILE_SCOPE(kSchedulerPop);
-      popped = q.PopDueBefore(horizon, &when, &fn);
+      popped = wheel_.PopDueBefore(horizon, &when, &fn);
+      const std::uint64_t moves = wheel_.cascade_moves();
+      cascades_ctr_->Inc(moves - reported_cascades_);
+      reported_cascades_ = moves;
     }
     if (!popped) break;
-    NoteFired(when);
+    now_ = when;
+    fires_ctr_->Inc();
+    pending_gauge_->Set(static_cast<std::int64_t>(wheel_.size()));
+    ++events_processed_;
     {
       PLEXUS_PROFILE_SCOPE(kTimerFire);
       fn();
@@ -257,23 +77,12 @@ std::size_t Simulator::Drain(Q& q, TimePoint horizon) {
   return fired;
 }
 
-std::size_t Simulator::Run() {
-  return wheel_ != nullptr ? Drain(*wheel_, TimePoint::Max())
-                           : Drain(*heap_, TimePoint::Max());
-}
+std::size_t Simulator::Run() { return Drain(TimePoint::Max()); }
 
 std::size_t Simulator::RunUntil(TimePoint t) {
-  const std::size_t fired =
-      wheel_ != nullptr ? Drain(*wheel_, t) : Drain(*heap_, t);
+  const std::size_t fired = Drain(t);
   if (now_ < t) now_ = t;
   return fired;
-}
-
-std::size_t Simulator::pending_events() const {
-  return static_cast<std::size_t>(live_);
-}
-std::size_t Simulator::dead_entries() const {
-  return heap_ != nullptr ? heap_->dead() : 0;
 }
 
 }  // namespace sim

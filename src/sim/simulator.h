@@ -2,31 +2,19 @@
 //
 // A Simulator owns a virtual clock and an ordered queue of pending events.
 // Events scheduled for the same instant fire in FIFO order of scheduling,
-// which keeps runs deterministic regardless of the queue implementation.
+// which keeps runs deterministic.
 //
-// Two interchangeable event queues back the scheduler (SchedulerImpl):
-//   kWheel  (default) a hierarchical timing wheel (sim/timer_wheel.h):
-//           O(1) Schedule and eager O(1) Cancel, built for workloads with
-//           thousands of concurrent connection timers.
-//   kHeap   the original binary heap with lazy cancellation, kept for
-//           wheel-vs-heap ablation. Cancelled entries are marked dead and
-//           compacted away once they exceed half the queue (the
-//           sim.scheduler_dead_entries gauge tracks the leak). Its nodes
-//           live in a sim::IndexPool slab ("sched.heap_node"), so the
-//           ablation compares queue algorithms, not allocators.
-// Both fire in exactly the same (deadline, FIFO) order; the environment
-// variable PLEXUS_SCHED=heap|wheel overrides the default.
-//
-// Dispatch is devirtualized: the two queues are concrete classes behind a
-// branch on which unique_ptr is set, and the run loop is a template
-// instantiated per queue type, so popping and firing an event involves no
-// virtual calls. Callbacks are sim::EventFn (inline-capture, move-only), so
-// scheduling allocates nothing for captures up to 72 bytes.
+// The queue is a hierarchical timing wheel (sim/timer_wheel.h): O(1)
+// Schedule and eager O(1) Cancel, built for workloads with thousands of
+// concurrent connection timers. It fires in exactly (deadline, FIFO seq)
+// order; tests/timer_wheel_test.cc checks that against a priority-queue
+// reference model. Callbacks are sim::EventFn (inline-capture, move-only),
+// so scheduling allocates nothing for captures up to 48 bytes.
 //
 // The simulator owns a MetricsRegistry with the scheduler's own
 // instruments (sim.timer_schedules / cancels / fires / pending /
-// pending_peak / delay_ns, plus per-impl counters), separate from the
-// per-host registries.
+// pending_peak / delay_ns / cascades), separate from the per-host
+// registries.
 #ifndef PLEXUS_SIM_SIMULATOR_H_
 #define PLEXUS_SIM_SIMULATOR_H_
 
@@ -45,21 +33,14 @@ class Counter;
 class Gauge;
 class Histogram;
 
-enum class SchedulerImpl { kHeap, kWheel };
-
 class Simulator {
  public:
-  // Reads PLEXUS_SCHED ("heap" or "wheel"); the wheel is the default.
-  static SchedulerImpl DefaultSchedulerImpl();
-
-  Simulator() : Simulator(DefaultSchedulerImpl()) {}
-  explicit Simulator(SchedulerImpl impl);
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   TimePoint Now() const { return now_; }
-  SchedulerImpl scheduler_impl() const { return impl_; }
 
   // The per-simulation structured trace (see sim/tracer.h). Always present;
   // disabled (and free) unless SetEnabled or PLEXUS_TRACE turns it on.
@@ -83,7 +64,7 @@ class Simulator {
   void Cancel(EventId id);
 
   // True if the given id is still pending.
-  bool IsPending(EventId id) const;
+  bool IsPending(EventId id) const { return wheel_.Contains(id); }
 
   // Runs until the queue drains or Stop() is called. Returns events fired.
   std::size_t Run();
@@ -98,24 +79,13 @@ class Simulator {
 
   std::size_t events_processed() const { return events_processed_; }
   // Live (scheduled, not yet fired or cancelled) events.
-  std::size_t pending_events() const;
-  // Cancelled entries still occupying the queue (heap impl only; the wheel
-  // removes eagerly, so it always reports 0).
-  std::size_t dead_entries() const;
+  std::size_t pending_events() const { return wheel_.size(); }
 
  private:
-  class HeapQueue;   // simulator.cc: binary heap, lazy cancel (ablation)
-  class WheelQueue;  // simulator.cc: timing wheel wrapper (default)
-
-  template <typename Q>
-  std::size_t Drain(Q& q, TimePoint horizon);
-  void NoteFired(TimePoint when);
+  std::size_t Drain(TimePoint horizon);
 
   TimePoint now_;
-  SchedulerImpl impl_;
   std::uint64_t next_seq_ = 0;  // FIFO tie-break among same-instant events
-  std::int64_t live_ = 0;       // live events, tracked here to keep the
-                                // schedule/cancel path free of queue queries
   std::size_t events_processed_ = 0;
   bool stopped_ = false;
   std::unique_ptr<MetricsRegistry> metrics_;
@@ -125,8 +95,9 @@ class Simulator {
   Gauge* pending_gauge_ = nullptr;
   Gauge* pending_peak_ = nullptr;
   Histogram* delay_hist_ = nullptr;
-  std::unique_ptr<WheelQueue> wheel_;  // exactly one of wheel_/heap_ is set
-  std::unique_ptr<HeapQueue> heap_;
+  Counter* cascades_ctr_ = nullptr;
+  std::uint64_t reported_cascades_ = 0;  // wheel cascade moves already counted
+  TimerWheel wheel_;
   std::unique_ptr<Tracer> tracer_;
 };
 

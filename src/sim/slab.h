@@ -2,7 +2,7 @@
 //
 // Generalizes the PR 5 pool idea (bounded, observable allocation) into the
 // wall-clock domain: the simulator's per-event, per-packet heap traffic —
-// mbuf headers, mbuf segment storage, heap-scheduler nodes — is served from
+// mbuf headers, mbuf segment storage, timing-wheel nodes — is served from
 // chunked free lists instead of malloc. An Alloc is a pointer pop, a Free a
 // pointer push; chunks (64 KiB by default) amortize the real allocator to
 // one call per ~hundreds of objects and keep same-type objects contiguous.
@@ -205,7 +205,7 @@ class Slab : public BlockSlab {
 
 // Index pool: a slab variant whose handles are (index, generation) pairs
 // instead of pointers, for queues that encode cancellation ids as integers
-// (the timing wheel's EventId, the heap scheduler's entries). Slots live in
+// (the timing wheel's EventId). Slots live in
 // one growing array — same cache behavior as a slab chunk — and each Free
 // bumps the slot's generation so stale handles compare invalid instead of
 // aliasing a recycled slot. Unlike BlockSlab this pool is NOT degraded by

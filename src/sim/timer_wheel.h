@@ -10,8 +10,8 @@
 //              deadline differs from the cursor.
 //   Cancel     O(1) and *eager*: the entry is removed (swap-remove from its
 //              slot, node returned to the pool) the moment it is cancelled,
-//              so dead timers never occupy queue space — the fix for the
-//              binary heap's lazy-cancellation leak.
+//              so dead timers never occupy queue space (a binary heap with
+//              lazy cancellation keeps them until they surface or compact).
 //   Pop        amortized O(levels): each entry moves to a strictly lower
 //              level at most kLevels-1 times over its lifetime.
 //
@@ -21,8 +21,9 @@
 // entry sits at the level/slot its deadline implies relative to the cursor.
 // Levels are then strictly ordered in time, slots within a level are ordered,
 // and a level-0 slot holds exactly one deadline, inside which the minimum
-// seq is selected — byte-for-byte the firing order of a binary heap keyed on
-// (deadline, seq). See DESIGN.md section 11 for the invariant argument.
+// seq is selected — byte-for-byte the firing order of a priority queue keyed
+// on (deadline, seq), which tests/timer_wheel_test.cc checks against such a
+// reference model. See DESIGN.md section 11 for the invariant argument.
 //
 // Allocation: nodes live in a sim::IndexPool slab ("sched.wheel_node" in the
 // slab registry) and callbacks are sim::EventFn — inline-capture callables —

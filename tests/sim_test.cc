@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation substrate.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,6 +14,7 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/timer_wheel.h"
 
 namespace sim {
 namespace {
@@ -130,38 +132,61 @@ TEST(Simulator, ScheduleInPastClampsToNow) {
   EXPECT_EQ(s.Now().us(), 10.0);
 }
 
-TEST(Simulator, HeapCompactionBoundsDeadEntries) {
-  // Regression for the lazy-cancellation leak: cancelling most of a large
-  // queue must not leave the heap full of dead entries. Compaction runs
-  // whenever dead entries exceed half the queue, so the residue is always
-  // bounded by the live population.
-  Simulator s(SchedulerImpl::kHeap);
-  int fired = 0;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(s.Schedule(Duration::Micros(10 + i), [&] { ++fired; }));
-  }
-  for (int i = 0; i < 900; ++i) s.Cancel(ids[static_cast<std::size_t>(i)]);
-  EXPECT_EQ(s.pending_events(), 100u);
-  EXPECT_LE(s.dead_entries(), s.pending_events() + 1);
-  EXPECT_EQ(s.metrics().gauge("sim.scheduler_dead_entries").value(),
-            static_cast<std::int64_t>(s.dead_entries()));
-  EXPECT_GE(s.metrics().counter("sim.scheduler_compactions").value(), 1u);
-  s.Run();
-  EXPECT_EQ(fired, 100);  // every survivor fires exactly once
-  EXPECT_EQ(s.dead_entries(), 0u);
-}
-
 TEST(Simulator, WheelCancelsEagerly) {
-  Simulator s(SchedulerImpl::kWheel);
+  Simulator s;
   std::vector<EventId> ids;
   for (int i = 0; i < 1000; ++i) {
     ids.push_back(s.Schedule(Duration::Micros(10 + i), [] {}));
   }
   for (int i = 0; i < 900; ++i) s.Cancel(ids[static_cast<std::size_t>(i)]);
   EXPECT_EQ(s.pending_events(), 100u);
-  EXPECT_EQ(s.dead_entries(), 0u);  // no lazy residue, ever
   EXPECT_EQ(s.metrics().counter("sim.timer_cancels").value(), 900u);
+}
+
+TEST(Simulator, CascadeCounterMatchesStandaloneWheel) {
+  // Long-horizon timers (>= 300 s: wheel level >= 4) scheduled on a
+  // Simulator and on a bare TimerWheel with the same (deadline, seq) pairs
+  // must cascade identically, and sim.timer_cascades must report exactly
+  // the wheel's cascade moves at every point of a two-step drain.
+  const std::int64_t deadlines_s[] = {300, 300, 301, 450, 600, 900, 3600};
+  Simulator s;
+  TimerWheel w;
+  std::vector<std::int64_t> sim_fired, wheel_fired;
+  std::vector<EventId> sim_ids, wheel_ids;
+  std::uint64_t seq = 0;
+  for (const std::int64_t d : deadlines_s) {
+    const TimePoint when = TimePoint() + Duration::Seconds(d) + Duration::Nanos(d % 7);
+    sim_ids.push_back(s.ScheduleAt(when, [&] { sim_fired.push_back(s.Now().ns()); }));
+    wheel_ids.push_back(w.Schedule(when, seq++, [] {}));
+  }
+  EXPECT_EQ(s.pending_events(), 7u);
+  s.Cancel(sim_ids[4]);  // the 600 s timer
+  w.Cancel(wheel_ids[4]);
+  EXPECT_EQ(s.pending_events(), 6u);
+
+  const auto cascades = [&s] {
+    return s.metrics().counter("sim.timer_cascades").value();
+  };
+  const auto drain_wheel = [&](TimePoint horizon) {
+    TimePoint when;
+    EventFn fn;
+    while (w.PopDueBefore(horizon, &when, &fn)) wheel_fired.push_back(when.ns());
+  };
+  const TimePoint mid = TimePoint() + Duration::Seconds(500);
+  s.RunUntil(mid);
+  drain_wheel(mid);
+  EXPECT_EQ(sim_fired, wheel_fired);
+  EXPECT_EQ(s.pending_events(), 2u);
+  EXPECT_EQ(cascades(), w.cascade_moves());
+
+  s.Run();
+  drain_wheel(TimePoint::Max());
+  EXPECT_EQ(sim_fired, wheel_fired);
+  EXPECT_EQ(sim_fired.size(), 6u);
+  EXPECT_EQ(s.pending_events(), 0u);
+  EXPECT_EQ(cascades(), w.cascade_moves());
+  EXPECT_GT(cascades(), 0u);
+  EXPECT_EQ(s.metrics().gauge("sim.timer_pending_peak").value(), 7);
 }
 
 TEST(Cpu, SerializesTasks) {

@@ -10,7 +10,7 @@
 // a wall-clock optimization only. A representative TCP scenario (lossy
 // link, concurrent connections, retransmissions, TIME_WAIT churn) must
 // produce byte-identical virtual-time results with slabs enabled and
-// disabled, under both schedulers. The gate may only be toggled at
+// disabled. The gate may only be toggled at
 // quiescent points — block provenance is decided at Alloc time — so the
 // harness asserts InUse("mbuf") == 0 before every flip.
 #include <gtest/gtest.h>
@@ -170,8 +170,8 @@ struct ScenarioResult {
 // A deliberately eventful little run: 40 connections over a lossy segment,
 // so retransmission timers, delayed ACKs, clones, and TIME_WAIT churn all
 // execute — every mbuf/event allocation path the slabs serve.
-ScenarioResult RunScenario(sim::SchedulerImpl sched) {
-  sim::Simulator sim(sched);
+ScenarioResult RunScenario() {
+  sim::Simulator sim;
   drivers::EthernetSegment segment(sim);
   drivers::Faults faults;
   faults.drop_probability = 0.02;
@@ -239,31 +239,28 @@ ScenarioResult RunScenario(sim::SchedulerImpl sched) {
 
 TEST(SlabIdentity, VirtualTimeIsByteIdenticalWithSlabsOnAndOff) {
   SlabGateGuard guard;
-  for (const auto sched : {sim::SchedulerImpl::kWheel, sim::SchedulerImpl::kHeap}) {
-    // Quiescent point: nothing from previous runs may still hold a block,
-    // or the flip would mis-route its eventual Free.
-    ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
-    sim::SlabConfig::SetEnabled(true);
-    const ScenarioResult on = RunScenario(sched);
+  // Quiescent point: nothing from previous runs may still hold a block,
+  // or the flip would mis-route its eventual Free.
+  ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
+  sim::SlabConfig::SetEnabled(true);
+  const ScenarioResult on = RunScenario();
 
-    ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
-    sim::SlabConfig::SetEnabled(false);
-    const ScenarioResult off = RunScenario(sched);
+  ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
+  sim::SlabConfig::SetEnabled(false);
+  const ScenarioResult off = RunScenario();
 
-    ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
-    EXPECT_GT(on.verified, 0);
-    EXPECT_EQ(on, off) << "slab gate changed virtual-time behavior ("
-                       << (sched == sim::SchedulerImpl::kWheel ? "wheel" : "heap")
-                       << "): on={t=" << on.final_time_ns << " fires=" << on.timer_fires
-                       << " frames=" << on.frames_delivered << " ok=" << on.verified
-                       << "} off={t=" << off.final_time_ns << " fires=" << off.timer_fires
-                       << " frames=" << off.frames_delivered << " ok=" << off.verified << "}";
-  }
+  ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
+  EXPECT_GT(on.verified, 0);
+  EXPECT_EQ(on, off) << "slab gate changed virtual-time behavior: on={t="
+                     << on.final_time_ns << " fires=" << on.timer_fires
+                     << " frames=" << on.frames_delivered << " ok=" << on.verified
+                     << "} off={t=" << off.final_time_ns << " fires=" << off.timer_fires
+                     << " frames=" << off.frames_delivered << " ok=" << off.verified << "}";
 }
 
 TEST(SlabIdentity, EngineSlabsBalanceAfterScenarioTeardown) {
   ASSERT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);
-  (void)RunScenario(sim::SchedulerImpl::kWheel);
+  (void)RunScenario();
   // Teardown leak gate: hosts and simulator are gone; every pooled header
   // and segment body must be back on its free list.
   EXPECT_EQ(sim::SlabRegistry::InUse("mbuf"), 0u);

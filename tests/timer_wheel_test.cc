@@ -1,18 +1,24 @@
-// Property-test harness for the scheduler: the hierarchical timing wheel and
-// the binary heap must be observationally identical.
+// Property-test harness for the scheduler: the Simulator, whose queue is the
+// hierarchical timing wheel, must be observationally identical to a plain
+// reference model — a priority queue keyed on (deadline, FIFO seq) with lazy
+// cancellation, defined below in a few dozen lines.
 //
 // Mirrors demux_equivalence_test: a seeded generator produces randomized
 // op scripts (schedule / cancel / reschedule / advance, plus events that
 // schedule further events from inside their callbacks), each script is
-// applied in lockstep to two Simulators — one per SchedulerImpl — and every
+// applied in lockstep to the Simulator and to the model, and every
 // observable is compared: the full (tag, fire-time) log byte for byte, the
 // virtual clock, pending/processed counts, per-handle IsPending, and the
-// sim.timer_* instruments. Any divergence in firing order, tie-breaking, or
-// cancellation semantics between the implementations fails here first.
+// sim.timer_* instruments against the model's tallies. Any divergence in
+// firing order, tie-breaking, or cancellation semantics fails here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <queue>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -57,11 +63,69 @@ Duration DelayFromDraw(std::uint64_t draw) {
   }
 }
 
-// One simulator plus everything observable about it.
+// The reference model. Handles are the FIFO seq itself; cancellation is
+// lazy (the entry stays queued and is skipped when it surfaces). No pools,
+// no compaction: only the semantics the wheel must reproduce.
+class ReferenceQueue {
+ public:
+  using Handle = std::uint64_t;
+  TimePoint Now() const { return now_; }
+  Handle Schedule(Duration delay, std::function<void()> fn) {
+    const Handle seq = next_seq_++;
+    queue_.push(Entry{(now_ + delay).ns(), seq, std::move(fn)});
+    live_.insert(seq);
+    ++schedules;
+    peak = std::max(peak, live_.size());
+    return seq;
+  }
+  void Cancel(Handle h) {
+    if (live_.erase(h) == 0) return;  // fired, cancelled or unknown: no-op
+    cancelled_.insert(h);
+    ++cancels;
+  }
+  bool IsPending(Handle h) const { return live_.count(h) != 0; }
+  std::size_t pending_events() const { return live_.size(); }
+  std::size_t events_processed() const { return fires; }
+  void Run() { Drain(TimePoint::Max().ns()); }
+  void RunFor(Duration d) {
+    const TimePoint until = now_ + d;
+    Drain(until.ns());
+    now_ = std::max(now_, until);
+  }
+  std::size_t schedules = 0, cancels = 0, fires = 0, peak = 0;
+
+ private:
+  struct Entry {
+    std::int64_t when;
+    Handle seq;
+    std::function<void()> fn;
+    bool operator>(const Entry& o) const {
+      return std::tie(when, seq) > std::tie(o.when, o.seq);
+    }
+  };
+  void Drain(std::int64_t horizon) {
+    while (!queue_.empty() && queue_.top().when <= horizon) {
+      Entry e = queue_.top();
+      queue_.pop();
+      if (cancelled_.erase(e.seq) != 0) continue;
+      live_.erase(e.seq);
+      now_ = TimePoint::FromNanos(e.when);
+      ++fires;
+      e.fn();
+    }
+  }
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
+  std::set<Handle> live_;       // scheduled, not yet fired or cancelled
+  std::set<Handle> cancelled_;  // still queued, skipped when they surface
+  TimePoint now_;
+  Handle next_seq_ = 0;
+};
+
+// One queue (Simulator or ReferenceQueue) plus everything observable about it.
+template <typename Q>
 struct Driver {
-  explicit Driver(SchedulerImpl impl) : sim(impl) {}
-  Simulator sim;
-  std::vector<EventId> handles;
+  Q sim;
+  std::vector<decltype(sim.Schedule(Duration(), [] {}))> handles;
   std::vector<std::pair<int, std::int64_t>> log;  // (tag, fire time ns)
 
   void ScheduleTagged(int tag, Duration delay) {
@@ -78,12 +142,12 @@ struct Driver {
   }
 };
 
-// Applies the same seeded op script to both implementations and compares
-// every observable. Returns false (with gtest failures recorded) on the
-// first divergence.
+// Applies the same seeded op script to the Simulator and the reference model
+// and compares every observable. Returns (with gtest failures recorded) on
+// the first divergence.
 void RunScript(std::uint64_t seed, int ops) {
-  Driver heap(SchedulerImpl::kHeap);
-  Driver wheel(SchedulerImpl::kWheel);
+  Driver<ReferenceQueue> ref;
+  Driver<Simulator> wheel;
   Rng rng(seed);
   int next_tag = 0;
 
@@ -95,74 +159,75 @@ void RunScript(std::uint64_t seed, int ops) {
       case 3: {  // schedule
         const int tag = next_tag++;
         const Duration d = DelayFromDraw(rng.Next());
-        heap.ScheduleTagged(tag, d);
+        ref.ScheduleTagged(tag, d);
         wheel.ScheduleTagged(tag, d);
         break;
       }
       case 4:
       case 5: {  // cancel a random handle (may already be fired: no-op)
-        if (heap.handles.empty()) break;
-        const std::size_t i = rng.Below(heap.handles.size());
-        ASSERT_EQ(heap.sim.IsPending(heap.handles[i]),
+        if (ref.handles.empty()) break;
+        const std::size_t i = rng.Below(ref.handles.size());
+        ASSERT_EQ(ref.sim.IsPending(ref.handles[i]),
                   wheel.sim.IsPending(wheel.handles[i]))
             << "seed " << seed << " op " << op;
-        heap.sim.Cancel(heap.handles[i]);
+        ref.sim.Cancel(ref.handles[i]);
         wheel.sim.Cancel(wheel.handles[i]);
         break;
       }
       case 6: {  // reschedule: cancel + re-arm under a fresh deadline
-        if (heap.handles.empty()) break;
-        const std::size_t i = rng.Below(heap.handles.size());
-        heap.sim.Cancel(heap.handles[i]);
+        if (ref.handles.empty()) break;
+        const std::size_t i = rng.Below(ref.handles.size());
+        ref.sim.Cancel(ref.handles[i]);
         wheel.sim.Cancel(wheel.handles[i]);
         const int tag = next_tag++;
         const Duration d = DelayFromDraw(rng.Next());
-        heap.ScheduleTagged(tag, d);
+        ref.ScheduleTagged(tag, d);
         wheel.ScheduleTagged(tag, d);
         break;
       }
       default: {  // advance
         const Duration d = DelayFromDraw(rng.Next());
-        heap.sim.RunFor(d);
+        ref.sim.RunFor(d);
         wheel.sim.RunFor(d);
-        ASSERT_EQ(heap.sim.Now(), wheel.sim.Now()) << "seed " << seed;
+        ASSERT_EQ(ref.sim.Now(), wheel.sim.Now()) << "seed " << seed;
         break;
       }
     }
-    ASSERT_EQ(heap.sim.pending_events(), wheel.sim.pending_events())
+    ASSERT_EQ(ref.sim.pending_events(), wheel.sim.pending_events())
         << "seed " << seed << " op " << op;
   }
 
   // Drain both, then compare every observable.
-  heap.sim.Run();
+  ref.sim.Run();
   wheel.sim.Run();
-  ASSERT_EQ(heap.log, wheel.log) << "firing order diverged, seed " << seed;
-  ASSERT_EQ(heap.sim.Now(), wheel.sim.Now()) << "seed " << seed;
-  ASSERT_EQ(heap.sim.pending_events(), 0u) << "seed " << seed;
+  ASSERT_EQ(ref.log, wheel.log) << "firing order diverged, seed " << seed;
+  ASSERT_EQ(ref.sim.Now(), wheel.sim.Now()) << "seed " << seed;
+  ASSERT_EQ(ref.sim.pending_events(), 0u) << "seed " << seed;
   ASSERT_EQ(wheel.sim.pending_events(), 0u) << "seed " << seed;
-  ASSERT_EQ(heap.sim.events_processed(), wheel.sim.events_processed())
+  ASSERT_EQ(ref.sim.events_processed(), wheel.sim.events_processed())
       << "seed " << seed;
 
-  // Scheduler instruments agree (cascades/compactions are impl-specific).
-  for (const char* name :
-       {"sim.timer_schedules", "sim.timer_cancels", "sim.timer_fires"}) {
-    ASSERT_EQ(heap.sim.metrics().counter(name).value(),
-              wheel.sim.metrics().counter(name).value())
-        << name << ", seed " << seed;
-  }
-  ASSERT_EQ(heap.sim.metrics().gauge("sim.timer_pending_peak").value(),
-            wheel.sim.metrics().gauge("sim.timer_pending_peak").value())
+  // The simulator's instruments agree with the model's tallies.
+  const MetricsRegistry& m = wheel.sim.metrics();
+  ASSERT_EQ(m.counters().at("sim.timer_schedules").value(), ref.sim.schedules)
+      << "seed " << seed;
+  ASSERT_EQ(m.counters().at("sim.timer_cancels").value(), ref.sim.cancels)
+      << "seed " << seed;
+  ASSERT_EQ(m.counters().at("sim.timer_fires").value(), ref.sim.fires)
+      << "seed " << seed;
+  ASSERT_EQ(m.gauges().at("sim.timer_pending_peak").value(),
+            static_cast<std::int64_t>(ref.sim.peak))
       << "seed " << seed;
 
   // Cancel-after-fire safety: every handle is long dead; Cancel must be a
   // no-op on both sides and IsPending must agree (false).
-  for (std::size_t i = 0; i < heap.handles.size(); ++i) {
-    ASSERT_FALSE(heap.sim.IsPending(heap.handles[i])) << "seed " << seed;
+  for (std::size_t i = 0; i < ref.handles.size(); ++i) {
+    ASSERT_FALSE(ref.sim.IsPending(ref.handles[i])) << "seed " << seed;
     ASSERT_FALSE(wheel.sim.IsPending(wheel.handles[i])) << "seed " << seed;
-    heap.sim.Cancel(heap.handles[i]);
+    ref.sim.Cancel(ref.handles[i]);
     wheel.sim.Cancel(wheel.handles[i]);
   }
-  ASSERT_EQ(heap.sim.pending_events(), wheel.sim.pending_events());
+  ASSERT_EQ(ref.sim.pending_events(), wheel.sim.pending_events());
 }
 
 TEST(SchedulerEquivalence, RandomizedScriptsAgreeByteForByte) {
@@ -177,17 +242,17 @@ TEST(SchedulerEquivalence, RandomizedScriptsAgreeByteForByte) {
 TEST(SchedulerEquivalence, DenseTieStorm) {
   // Many events on few distinct instants: tie-breaking is the whole test.
   for (std::uint64_t seed = 2000; seed < 2050; ++seed) {
-    Driver heap(SchedulerImpl::kHeap);
-    Driver wheel(SchedulerImpl::kWheel);
+    Driver<ReferenceQueue> ref;
+    Driver<Simulator> wheel;
     Rng rng(seed);
     for (int i = 0; i < 400; ++i) {
       const Duration d = Duration::Micros(static_cast<std::int64_t>(rng.Below(4)));
-      heap.ScheduleTagged(i, d);
+      ref.ScheduleTagged(i, d);
       wheel.ScheduleTagged(i, d);
     }
-    heap.sim.Run();
+    ref.sim.Run();
     wheel.sim.Run();
-    ASSERT_EQ(heap.log, wheel.log) << "seed " << seed;
+    ASSERT_EQ(ref.log, wheel.log) << "seed " << seed;
   }
 }
 
